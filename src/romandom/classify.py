@@ -23,15 +23,12 @@ INCREASED = "increased"
 DEFAULT_LIMIT = solvers.DEFAULT_EXACT_LIMIT
 
 
-def removal_effect(g: Graph, v: int, limit: int = DEFAULT_LIMIT) -> str:
-    """Compare gamma_R(G - v) against gamma_R(G).
+def _effect(base: int, after: int, v: int) -> str:
+    """Classify gamma_R(G - v) = after against gamma_R(G) = base.
 
     A decrease of more than one contradicts a known lemma and is raised
     loudly rather than reported.
     """
-    base = solvers.roman_domination_number(g, limit)
-    smaller, _ = delete_vertex(g, v)
-    after = solvers.roman_domination_number(smaller, limit)
     if after < base:
         if base - after != 1:
             raise InvariantViolationError(
@@ -43,28 +40,37 @@ def removal_effect(g: Graph, v: int, limit: int = DEFAULT_LIMIT) -> str:
     return INCREASED
 
 
+def _after_deletions(g: Graph, solve, limit: int, vertices=None):
+    """solve(G - v) for each v of ``vertices`` (default: every vertex in
+    order).  Lazy, so a caller that stops early solves no further deletions."""
+    for v in range(g.order) if vertices is None else vertices:
+        smaller, _ = delete_vertex(g, v)
+        yield solve(smaller, limit)
+
+
+def removal_effect(g: Graph, v: int, limit: int = DEFAULT_LIMIT) -> str:
+    """Compare gamma_R(G - v) against gamma_R(G)."""
+    base = solvers.roman_domination_number(g, limit)
+    (after,) = _after_deletions(g, solvers.roman_domination_number, limit, (v,))
+    return _effect(base, after, v)
+
+
 def per_vertex_effects(g: Graph, limit: int = DEFAULT_LIMIT) -> dict[int, str]:
-    return {v: removal_effect(g, v, limit) for v in range(g.order)}
+    base = solvers.roman_domination_number(g, limit)
+    afters = _after_deletions(g, solvers.roman_domination_number, limit)
+    return {v: _effect(base, after, v) for v, after in enumerate(afters)}
 
 
 def in_class_r_uvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
     """gamma_R unchanged by every single-vertex deletion."""
     base = solvers.roman_domination_number(g, limit)
-    for v in range(g.order):
-        smaller, _ = delete_vertex(g, v)
-        if solvers.roman_domination_number(smaller, limit) != base:
-            return False
-    return True
+    return all(a == base for a in _after_deletions(g, solvers.roman_domination_number, limit))
 
 
 def in_class_r_cvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
     """gamma_R changed by every single-vertex deletion."""
     base = solvers.roman_domination_number(g, limit)
-    for v in range(g.order):
-        smaller, _ = delete_vertex(g, v)
-        if solvers.roman_domination_number(smaller, limit) == base:
-            return False
-    return True
+    return all(a != base for a in _after_deletions(g, solvers.roman_domination_number, limit))
 
 
 def in_class_d_uvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
@@ -76,20 +82,12 @@ def in_class_d_uvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
     identity tying the differential to gamma_R and the order).
     """
     base = solvers.differential_value(g, limit)
-    for v in range(g.order):
-        smaller, _ = delete_vertex(g, v)
-        if solvers.differential_value(smaller, limit) != base - 1:
-            return False
-    return True
+    return all(a == base - 1 for a in _after_deletions(g, solvers.differential_value, limit))
 
 
 def in_class_d_cvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
     base = solvers.differential_value(g, limit)
-    for v in range(g.order):
-        smaller, _ = delete_vertex(g, v)
-        if solvers.differential_value(smaller, limit) == base - 1:
-            return False
-    return True
+    return all(a != base - 1 for a in _after_deletions(g, solvers.differential_value, limit))
 
 
 def is_roman(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:

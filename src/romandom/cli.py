@@ -13,8 +13,8 @@ import json
 import sys
 
 from . import checks, classify, labelled, solvers, streams
-from .errors import Graph6Error, GraphError, LimitExceededError, RomandomError
-from .graphs import Graph, write_graph6
+from .errors import GraphError, LimitExceededError, RomandomError
+from .graphs import write_graph6
 from .kernels import BACKEND
 
 EXIT_OK = 0
@@ -205,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--unicyclic-n", type=int, default=8)
     verify.add_argument("--table", action="store_true",
                         help="human-readable summary instead of JSON lines")
-    verify.add_argument("--json", action="store_true",
-                        help="JSON lines output (the default)")
     verify.add_argument("--timings", action="store_true",
                         help="include per-instance timings (breaks byte-reproducibility)")
     verify.add_argument("--inject-fault", choices=[solvers.FAULT_GAMMA_R_PLUS_ONE],
@@ -236,13 +234,7 @@ def main(argv=None) -> int:
         parser.error(f"unknown check id {args.suite!r}; known: {', '.join(checks.CHECK_IDS)}")
     try:
         return args.func(args)
-    except (Graph6Error, GraphError, LimitExceededError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except RomandomError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (RomandomError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -7,7 +7,6 @@ vertex, which is what the exact-search kernels consume directly.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
@@ -489,38 +488,37 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 # -- tree encodings ------------------------------------------------------------
 
 
-def _tree_centroids(adj: Sequence[int], vertices: Sequence[int]) -> list[int]:
-    """Centroid vertices (1 or 2, adjacent) of a tree given by bitmask rows,
-    restricted to the listed vertex ids."""
-    n = len(vertices)
-    if n == 1:
-        return [vertices[0]]
-    alive = mask_of(vertices)
-    root = vertices[0]
+def _parents_preorder(rows: Sequence[int], root: int) -> tuple[list[int | None], list[int]]:
+    """Parent links (None at the root) and a preorder of the tree given by
+    bitmask rows, rooted at ``root``."""
+    parent: list[int | None] = [None] * len(rows)
     order = []
-    parent = {root: None}
     stack = [root]
-    seen = 1 << root
     while stack:
         v = stack.pop()
         order.append(v)
-        for u in bits(adj[v] & alive):
-            if not seen >> u & 1:
-                seen |= 1 << u
+        for u in bits(rows[v]):
+            if u != parent[v]:
                 parent[u] = v
                 stack.append(u)
-    size = {v: 1 for v in vertices}
-    heaviest = {v: 0 for v in vertices}
-    for v in reversed(order):
+    return parent, order
+
+
+def _centroids(parent: Sequence[int | None], preorder: Sequence[int]) -> list[int]:
+    """Centroid vertices (1 or 2, adjacent, ascending) of a tree given by
+    parent links and a preorder of its vertices 0..n-1."""
+    n = len(preorder)
+    size = [1] * n
+    heaviest = [0] * n
+    for v in preorder[:0:-1]:
         p = parent[v]
-        if p is not None:
-            size[p] += size[v]
-            heaviest[p] = max(heaviest[p], size[v])
-    best = None
+        size[p] += size[v]
+        heaviest[p] = max(heaviest[p], size[v])
+    best = n + 1
     out: list[int] = []
-    for v in vertices:
+    for v in range(n):
         weight = max(heaviest[v], n - size[v])
-        if best is None or weight < best:
+        if weight < best:
             best = weight
             out = [v]
         elif weight == best:
@@ -528,19 +526,32 @@ def _tree_centroids(adj: Sequence[int], vertices: Sequence[int]) -> list[int]:
     return out
 
 
-def _rooted_code(adj: Sequence[int], alive: int, v: int, parent: int | None, depth: int) -> list[int]:
-    subs = sorted(
-        (
-            _rooted_code(adj, alive, u, v, depth + 1)
-            for u in bits(adj[v] & alive)
-            if u != parent
-        ),
-        reverse=True,
+def _rooted_code(rows: Sequence[int], root: int) -> list[int]:
+    """Canonical level sequence of the tree given by bitmask rows, rooted at
+    ``root``: each vertex's depth, children in decreasing code order."""
+    parent, order = _parents_preorder(rows, root)
+    depth = [0] * len(rows)
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    subs: list[list[list[int]]] = [[] for _ in rows]
+    for v in reversed(order):
+        code = [depth[v]]
+        for sub in sorted(subs[v], reverse=True):
+            code.extend(sub)
+        subs[v] = []
+        if v != root:
+            subs[parent[v]].append(code)
+    return code  # the root comes last
+
+
+def _key_bytes(values: list[int]) -> bytes:
+    """One byte per value below 255, else 0xff and four big-endian bytes, so
+    keys of trees below order 255 keep their one-byte-per-value form."""
+    if max(values) < 255:
+        return bytes(values)
+    return b"".join(
+        bytes([x]) if x < 255 else b"\xff" + x.to_bytes(4, "big") for x in values
     )
-    out = [depth]
-    for s in subs:
-        out.extend(s)
-    return out
 
 
 def tree_canonical_key(g: Graph) -> bytes:
@@ -550,12 +561,9 @@ def tree_canonical_key(g: Graph) -> bytes:
     """
     if not is_tree(g):
         raise GraphError("tree_canonical_key requires a tree")
-    adj = g.open_rows()
-    vertices = list(range(g.order))
-    cents = _tree_centroids(adj, vertices)
-    alive = g.full_mask
-    code = max(tuple(_rooted_code(adj, alive, c, None, 0)) for c in cents)
-    return bytes([g.order]) + bytes(code)
+    rows = g.open_rows()
+    cents = _centroids(*_parents_preorder(rows, 0))
+    return _key_bytes([g.order] + max(_rooted_code(rows, c) for c in cents))
 
 
 def forest_canonical_key(g: Graph) -> bytes:

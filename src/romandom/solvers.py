@@ -91,47 +91,40 @@ def is_dominating(g: Graph, vertices) -> bool:
     return reach == g.full_mask
 
 
-def _per_component(g: Graph, limit: int, kernel_masks):
-    """Run a kernel mask-enumerator per component and lift masks to global
-    vertex ids; returns list of lists of frozensets."""
+def _component_value(g: Graph, limit: int, kernel, rows) -> int:
+    """Sum of ``kernel(rows(component))`` over the components.  ``rows`` is
+    ``Graph.closed_rows`` or ``Graph.open_rows``."""
     _check_limit(g, limit)
-    lifted = []
-    for comp, old_ids in connected_components(g):
-        rows = comp.closed_rows()
-        comp_sets = []
-        for m in kernel_masks(rows):
-            comp_sets.append(frozenset(old_ids[i] for i in bits(m)))
-        lifted.append(comp_sets)
-    return lifted
+    return sum(kernel(rows(comp)) for comp, _ in connected_components(g))
+
+
+def _component_sets(g: Graph, limit: int, kernel, rows) -> list[frozenset[int]]:
+    """Every union of one kernel mask per component, in global vertex ids,
+    lexicographic by sorted vertex list.  Empty when some component has no
+    mask."""
+    _check_limit(g, limit)
+    per_comp = [
+        [frozenset(old_ids[i] for i in bits(m)) for m in kernel(rows(comp))]
+        for comp, old_ids in connected_components(g)
+    ]
+    sets = [frozenset().union(*combo) for combo in itertools.product(*per_comp)]
+    sets.sort(key=lambda s: tuple(sorted(s)))
+    return sets
 
 
 def domination_number(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> int:
-    _check_limit(g, limit)
-    return sum(
-        kernels.min_dominating_size(comp.closed_rows())
-        for comp, _ in connected_components(g)
-    )
+    return _component_value(g, limit, kernels.min_dominating_size, Graph.closed_rows)
 
 
 def minimum_dominating_sets(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> DominationSummary:
     """All minimum dominating sets, lexicographic by sorted vertex list."""
-    per_comp = _per_component(g, limit, kernels.min_dominating_masks)
-    sets = [
-        frozenset().union(*combo) if combo else frozenset()
-        for combo in itertools.product(*per_comp)
-    ] or [frozenset()]
-    sets.sort(key=lambda s: tuple(sorted(s)))
-    gamma = len(sets[0]) if sets else 0
-    return DominationSummary(gamma, tuple(sets), len(sets) == 1)
+    sets = _component_sets(g, limit, kernels.min_dominating_masks, Graph.closed_rows)
+    return DominationSummary(len(sets[0]), tuple(sets), len(sets) == 1)
 
 
 def roman_domination_number(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> int:
     """Exact gamma_R via min over S of 2|S| + |V - N[S]|, per component."""
-    _check_limit(g, limit)
-    value = sum(
-        kernels.min_weight_cover(comp.closed_rows())
-        for comp, _ in connected_components(g)
-    )
+    value = _component_value(g, limit, kernels.min_weight_cover, Graph.closed_rows)
     return value + _GAMMA_R_OFFSET
 
 
@@ -141,13 +134,7 @@ def optimal_v2_sets(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> list[frozense
     Every optimal function is determined by its V2: V1 is forced to the
     vertices outside N[V2] and V0 to the rest.
     """
-    per_comp = _per_component(g, limit, kernels.min_cover_masks)
-    sets = [
-        frozenset().union(*combo) if combo else frozenset()
-        for combo in itertools.product(*per_comp)
-    ] or [frozenset()]
-    sets.sort(key=lambda s: tuple(sorted(s)))
-    return sets
+    return _component_sets(g, limit, kernels.min_cover_masks, Graph.closed_rows)
 
 
 def function_from_v2(g: Graph, v2) -> RomanFunction:
@@ -189,41 +176,16 @@ def validate_rdf(g: Graph, f: RomanFunction) -> tuple[bool, int | None]:
 def differential_value(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> int:
     """max over S of |B(S)| - |S|.  Computed from open neighborhoods,
     independently of the Roman solver."""
-    _check_limit(g, limit)
-    return sum(
-        kernels.max_differential(list(comp.open_rows()))
-        for comp, _ in connected_components(g)
-    )
+    return _component_value(g, limit, kernels.max_differential, Graph.open_rows)
 
 
 def differential_sets(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> list[frozenset[int]]:
-    _check_limit(g, limit)
-    per_comp = []
-    for comp, old_ids in connected_components(g):
-        comp_sets = [
-            frozenset(old_ids[i] for i in bits(m))
-            for m in kernels.max_differential_masks(list(comp.open_rows()))
-        ]
-        per_comp.append(comp_sets)
-    sets = [
-        frozenset().union(*combo) if combo else frozenset()
-        for combo in itertools.product(*per_comp)
-    ] or [frozenset()]
-    sets.sort(key=lambda s: tuple(sorted(s)))
-    return sets
+    return _component_sets(g, limit, kernels.max_differential_masks, Graph.open_rows)
 
 
 def efficient_dominating_sets(g: Graph, limit: int = DEFAULT_EXACT_LIMIT) -> list[frozenset[int]]:
     """All sets whose closed neighborhoods partition the vertex set."""
-    per_comp = _per_component(g, limit, kernels.efficient_dominating_masks)
-    if any(not comp_sets for comp_sets in per_comp):
-        return []
-    sets = [
-        frozenset().union(*combo) if combo else frozenset()
-        for combo in itertools.product(*per_comp)
-    ] or [frozenset()]
-    sets.sort(key=lambda s: tuple(sorted(s)))
-    return sets
+    return _component_sets(g, limit, kernels.efficient_dominating_masks, Graph.closed_rows)
 
 
 def tree_unique_gamma_structural(t: Graph, dom) -> bool:

@@ -13,12 +13,11 @@ from . import kernels
 from .errors import Graph6Error, GraphError
 from .graphs import (
     Graph,
+    _centroids,
+    _rooted_code,
     build_graph,
     canonical_form,
-    is_connected,
-    is_tree,
     parse_graph6,
-    tree_canonical_key,
 )
 
 FREE_TREE_LIMIT = 16
@@ -80,53 +79,21 @@ def _parents(seq: list[int]) -> list[int | None]:
     return parents
 
 
-def _centroids(parents: list[int | None]) -> list[int]:
-    n = len(parents)
-    size = [1] * n
-    heaviest = [0] * n
-    for v in range(n - 1, 0, -1):
-        p = parents[v]
-        size[p] += size[v]
-        heaviest[p] = max(heaviest[p], size[v])
-    best = n + 1
-    out: list[int] = []
-    for v in range(n):
-        weight = max(heaviest[v], n - size[v])
-        if weight < best:
-            best = weight
-            out = [v]
-        elif weight == best:
-            out.append(v)
-    return out
-
-
-def _code_from(adj: list[list[int]], v: int, parent: int, depth: int) -> list[int]:
-    subs = sorted(
-        (_code_from(adj, u, v, depth + 1) for u in adj[v] if u != parent),
-        reverse=True,
-    )
-    out = [depth]
-    for s in subs:
-        out.extend(s)
-    return out
-
-
 def _iter_free_trees(n: int) -> Iterator[Graph]:
     if n == 1:
         yield build_graph(1, [])
         return
     for seq in _level_sequences(n):
         parents = _parents(seq)
-        cents = _centroids(parents)
+        cents = _centroids(parents, range(n))
         if 0 not in cents:
             continue
         if len(cents) == 2:
-            adj: list[list[int]] = [[] for _ in range(n)]
+            rows = [0] * n
             for v in range(1, n):
-                adj[v].append(parents[v])
-                adj[parents[v]].append(v)
-            other = cents[0] if cents[0] != 0 else cents[1]
-            if seq < _code_from(adj, other, -1, 0):
+                rows[v] |= 1 << parents[v]
+                rows[parents[v]] |= 1 << v
+            if seq < _rooted_code(rows, cents[1]):
                 continue
         yield build_graph(n, [(v, parents[v]) for v in range(1, n)])
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import brute_bondage, brute_gamma_r
+from oracles import brute_bondage, brute_differential, brute_gamma_r
 from romandom import classify, graphs
 from romandom.classify import (
     DECREASED,
@@ -52,6 +52,30 @@ def test_differential_classes_agree_with_roman_classes():
         g = random_graph(rng, rng.randint(1, 7))
         assert in_class_r_uvr(g) == in_class_d_uvr(g)
         assert in_class_r_cvr(g) == in_class_d_cvr(g)
+    # the deletion walk behind all of them, against the 3^n oracle
+    for k in range(40):
+        g = random_graph(rng, rng.randint(1, 6))
+        if k % 3 == 0 and g.order <= 4:
+            g = graphs.disjoint_union(g, random_graph(rng, rng.randint(1, 2)))
+        base, base_diff = brute_gamma_r(g), brute_differential(g)
+        afters, after_diffs = [], []
+        for v in range(g.order):
+            keep = [u for u in range(g.order) if u != v]
+            rest = build_graph(g.order - 1, [
+                (keep.index(a), keep.index(b)) for a, b in g.edges() if v not in (a, b)
+            ])
+            afters.append(brute_gamma_r(rest))
+            after_diffs.append(brute_differential(rest))
+        effects = {
+            v: DECREASED if a < base else UNCHANGED if a == base else INCREASED
+            for v, a in enumerate(afters)
+        }
+        assert per_vertex_effects(g) == effects
+        assert [removal_effect(g, v) for v in range(g.order)] == list(effects.values())
+        assert in_class_r_uvr(g) == all(a == base for a in afters)
+        assert in_class_r_cvr(g) == all(a != base for a in afters)
+        assert in_class_d_uvr(g) == all(d == base_diff - 1 for d in after_diffs)
+        assert in_class_d_cvr(g) == all(d != base_diff - 1 for d in after_diffs)
 
 
 def test_is_roman():

@@ -165,3 +165,36 @@ def test_stdin_input(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "compute", "gamma")
     assert code == 0
     assert json.loads(out)["gamma"] == 1
+
+
+def test_output_bytes_are_pinned(capsys, monkeypatch):
+    """Output bytes are fixed: sha256 of the verify record lines (summary
+    excluded) and of classify on small graphs, two of them disconnected."""
+    import hashlib
+    import io
+
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--trees-max-n", "6",
+        "--graphs-max-n", "4", "--unicyclic-n", "5",
+    )
+    records = [line for line in out.splitlines(keepends=True) if '"summary": true' not in line]
+    assert code == 0 and len(records) == 180
+    assert hashlib.sha256("".join(records).encode()).hexdigest() == (
+        "803e41bd54a7824cc527ee7a685bfa0cab321a90b824bdf171f3b1dc174b52fc"
+    )
+    inputs = [
+        graphs.path_graph(6),
+        graphs.star(5),
+        graphs.cycle_graph(5),
+        graphs.edgeless_graph(3),
+        graphs.disjoint_union(graphs.path_graph(3), graphs.cycle_graph(4)),
+        graphs.disjoint_union(graphs.complete_graph(3), graphs.star(4)),
+        graphs.figure3_graph(),
+    ]
+    text = "".join(graphs.write_graph6(g) + "\n" for g in inputs)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, _ = run_cli(capsys, "classify")
+    assert code == 0 and len(out.splitlines()) == len(inputs)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "18e9c75f08f25ab57d7341d22d78915a570015fe1325b85f64eb3230e0545fee"
+    )

@@ -212,6 +212,18 @@ def test_tree_canonical_key():
     assert tree_canonical_key(graphs.path_graph(4)) != tree_canonical_key(graphs.star(4))
     with pytest.raises(GraphError):
         tree_canonical_key(graphs.cycle_graph(4))
+    # orders of 255 and more: values past one byte, and no recursion limit
+    for _ in range(3):
+        edges = [(rng.randrange(v), v) for v in range(1, 300)]
+        perm = list(range(300))
+        rng.shuffle(perm)
+        t = build_graph(300, edges)
+        assert tree_canonical_key(t) == tree_canonical_key(permute(t, perm))
+    assert tree_canonical_key(graphs.path_graph(300)) != tree_canonical_key(
+        graphs.path_graph(301)
+    )
+    long_path = tree_canonical_key(graphs.path_graph(1500))
+    assert long_path.startswith(b"\xff" + (1500).to_bytes(4, "big"))
     f1 = disjoint_union(graphs.path_graph(2), graphs.path_graph(3))
     f2 = disjoint_union(graphs.path_graph(3), graphs.path_graph(2))
     assert forest_canonical_key(f1) == forest_canonical_key(f2)

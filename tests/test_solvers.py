@@ -138,6 +138,18 @@ def test_component_additivity():
         assert len(gamma_r_functions(u)) == len(gamma_r_functions(g)) * len(
             gamma_r_functions(h)
         )
+        for enumerate_sets in (
+            lambda x: list(minimum_dominating_sets(x).all_min_sets),
+            solvers.optimal_v2_sets,
+            differential_sets,
+            efficient_dominating_sets,
+        ):
+            product = [
+                a | {g.order + v for v in b}
+                for a in enumerate_sets(g)
+                for b in enumerate_sets(h)
+            ]
+            assert enumerate_sets(u) == sorted(product, key=sorted)
 
 
 def test_validate_rdf():
