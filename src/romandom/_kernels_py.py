@@ -1,13 +1,27 @@
 """Pure-Python kernels for the subset-scan and canonicalization hot loops.
 
 This module is the fallback backend: `romandom._kernels` (the compiled
-extension) implements the same functions with the same semantics.  Every
+extension) implements the same functions with the same results.  Every
 routine works on bitmask adjacency rows (``rows[v]`` has bit ``u`` set when
-``uv`` is an edge) and must return bit-identical results on both backends;
-``tests/test_kernels.py`` enforces the parity.
+``uv`` is an edge).  Vertex-set arguments and results are encoded as int
+bitmasks over vertex ids ``0..n-1``; mask lists are ascending.
 
-Vertex-set arguments and results are encoded as int bitmasks over vertex
-ids ``0..n-1``.
+The compiled scans visit all ``2^n`` subsets.  Here the subsets are visited
+by size instead (`_levels`), and each scan stops at the first size that
+cannot change its answer.  A k-subset S has Roman weight
+``2k + |V - N[S]| >= 2k`` and differential ``|B(S)| - k <= n - 2k``, so:
+
+- `min_weight_cover` stops once ``2k >= best`` and `min_cover_masks` once
+  ``2k > best`` (ties still count);
+- `max_differential` stops once ``n - 2k <= best`` and
+  `max_differential_masks` once ``n - 2k < best``;
+- the dominating-set scans stop at the first size with a dominating set;
+- `efficient_dominating_masks` grows a set only by a closed neighborhood
+  disjoint from the ones it has.
+
+``tests/test_kernels_py.py`` checks every scan against a full ``2^n`` scan;
+parity with the compiled backend is tested by ``tests/test_kernels.py``
+only when that backend is built.
 """
 
 BACKEND_NAME = "pure"
@@ -20,14 +34,27 @@ def _check_scan_order(n):
         raise ValueError(f"subset scan limited to {_MAX_SCAN_ORDER} vertices, got {n}")
 
 
-def _union_table(masks):
-    """table[S] = union of masks[v] over v in S, for every subset S."""
-    n = len(masks)
-    table = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        table[m] = table[m ^ low] | masks[low.bit_length() - 1]
-    return table
+def _levels(rows, disjoint=False):
+    """Yield, for k = 0, 1, ..., the ``(mask, union)`` pairs of all k-subsets
+    S, where union is the OR of ``rows[v]`` over v in S.
+
+    Level k is built from level k - 1, only when the caller asks for it, by
+    adding each vertex above a mask's highest bit, so every subset appears
+    once.  With ``disjoint``, a vertex is added only when its row misses the
+    union.
+    """
+    n = len(rows)
+    _check_scan_order(n)
+    pairs = [(1 << v, row) for v, row in enumerate(rows)]
+    tails = [pairs[i:] for i in range(n + 1)]
+    level = [(0, 0)]
+    while level:
+        yield level
+        if disjoint:
+            level = [(m | b, u | r) for m, u in level for b, r in tails[m.bit_length()]
+                     if not u & r]
+        else:
+            level = [(m | b, u | r) for m, u in level for b, r in tails[m.bit_length()]]
 
 
 def min_weight_cover(closed):
@@ -37,128 +64,83 @@ def min_weight_cover(closed):
     neighborhoods are ``closed``.
     """
     n = len(closed)
-    _check_scan_order(n)
-    if n == 0:
-        return 0
     full = (1 << n) - 1
-    table = _union_table(closed)
     best = n  # S = empty: every vertex pays 1
-    for m in range(1, 1 << n):
-        base = 2 * m.bit_count()
-        if base >= best:
-            continue
-        w = base + (full & ~table[m]).bit_count()
-        if w < best:
-            best = w
+    for k, level in enumerate(_levels(closed)):
+        best = min(best, 2 * k + min([(full & ~u).bit_count() for _, u in level]))
+        if 2 * k + 2 >= best:
+            break
     return best
 
 
 def min_cover_masks(closed):
-    """All subsets attaining min_weight_cover, as masks in ascending order."""
+    """All subsets attaining min_weight_cover."""
     n = len(closed)
-    _check_scan_order(n)
-    if n == 0:
-        return [0]
     full = (1 << n) - 1
-    table = _union_table(closed)
-    best = n
-    out = [0]
-    for m in range(1, 1 << n):
-        w = 2 * m.bit_count() + (full & ~table[m]).bit_count()
-        if w < best:
-            best = w
-            out = [m]
-        elif w == best:
-            out.append(m)
-    return out
+    best, out = n, []
+    for k, level in enumerate(_levels(closed)):
+        weights = [2 * k + (full & ~u).bit_count() for _, u in level]
+        low = min(weights)
+        if low < best:
+            best, out = low, []
+        if low == best:
+            out += [m for (m, _), w in zip(level, weights) if w == best]
+        if 2 * k + 2 > best:
+            break
+    return sorted(out)
 
 
 def min_dominating_size(closed):
-    n = len(closed)
-    _check_scan_order(n)
-    if n == 0:
-        return 0
-    full = (1 << n) - 1
-    table = _union_table(closed)
-    best = n
-    for m in range(1, 1 << n):
-        if table[m] == full:
-            k = m.bit_count()
-            if k < best:
-                best = k
-    return best
+    full = (1 << len(closed)) - 1
+    for k, level in enumerate(_levels(closed)):
+        if any(u == full for _, u in level):
+            return k
+    return len(closed)  # only for rows that no subset covers
 
 
 def min_dominating_masks(closed):
-    n = len(closed)
-    _check_scan_order(n)
-    if n == 0:
-        return [0]
-    full = (1 << n) - 1
-    table = _union_table(closed)
-    best = n + 1
-    out = []
-    for m in range(1, 1 << n):
-        if table[m] != full:
-            continue
-        k = m.bit_count()
-        if k < best:
-            best = k
-            out = [m]
-        elif k == best:
-            out.append(m)
-    return out
+    full = (1 << len(closed)) - 1
+    for level in _levels(closed):
+        out = [m for m, u in level if u == full]
+        if out:
+            return sorted(out)
+    return []
 
 
 def max_differential(open_rows):
     """max over S of |B(S)| - |S| where B(S) are outside vertices with a
-    neighbor in S.  Uses open neighborhoods only; deliberately a separate
-    code path from min_weight_cover so the two can cross-check each other.
+    neighbor in S.  Uses open neighborhoods only, and a stop rule that does
+    not depend on the Roman weight; deliberately a separate code path from
+    min_weight_cover so the two can cross-check each other.
     """
     n = len(open_rows)
-    _check_scan_order(n)
-    if n == 0:
-        return 0
-    table = _union_table(open_rows)
     best = 0  # S = empty
-    for m in range(1, 1 << n):
-        d = (table[m] & ~m).bit_count() - m.bit_count()
-        if d > best:
-            best = d
+    for k, level in enumerate(_levels(open_rows)):
+        best = max(best, max([(u & ~m).bit_count() for m, u in level]) - k)
+        if n - 2 * k - 2 <= best:
+            break
     return best
 
 
 def max_differential_masks(open_rows):
     n = len(open_rows)
-    _check_scan_order(n)
-    if n == 0:
-        return [0]
-    table = _union_table(open_rows)
-    best = 0
-    out = [0]
-    for m in range(1, 1 << n):
-        d = (table[m] & ~m).bit_count() - m.bit_count()
-        if d > best:
-            best = d
-            out = [m]
-        elif d == best:
-            out.append(m)
-    return out
+    best, out = 0, []
+    for k, level in enumerate(_levels(open_rows)):
+        gains = [(u & ~m).bit_count() - k for m, u in level]
+        top = max(gains)
+        if top > best:
+            best, out = top, []
+        if top == best:
+            out += [m for (m, _), d in zip(level, gains) if d == best]
+        if n - 2 * k - 2 < best:
+            break
+    return sorted(out)
 
 
 def efficient_dominating_masks(closed):
     """All S whose closed neighborhoods partition the vertex set."""
-    n = len(closed)
-    _check_scan_order(n)
-    if n == 0:
-        return [0]
-    full = (1 << n) - 1
-    table = _union_table(closed)
-    sizes = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        sizes[m] = sizes[m ^ low] + closed[low.bit_length() - 1].bit_count()
-    return [m for m in range(1, 1 << n) if table[m] == full and sizes[m] == n]
+    full = (1 << len(closed)) - 1
+    return sorted(m for level in _levels(closed, disjoint=True) for m, u in level if u == full)
 
 
 def _position_degrees(rows):

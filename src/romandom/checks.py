@@ -329,7 +329,7 @@ def _check_thm_un(limits: Limits) -> Iterator[Case]:
                 for combo in itertools.combinations(range(t.order), k):
                     if not solvers.is_dominating(t, combo):
                         continue
-                    if solvers.tree_unique_gamma_structural(t, combo):
+                    if solvers._tree_unique_gamma_structural(t, frozenset(combo)):
                         return False, {"oversized_structural_set": list(combo)}
             return True, None
         yield _label(t), case

@@ -210,11 +210,13 @@ def build_class_report(
     bondage = None
     if with_bondage and g.order > 0 and g.max_degree() >= 2:
         bondage = roman_bondage_number(g, limit=limit)
+    gamma = solvers.domination_number(g, limit)
+    gamma_r = solvers.roman_domination_number(g, limit)
     return ClassReport(
-        gamma=solvers.domination_number(g, limit),
-        gamma_r=solvers.roman_domination_number(g, limit),
+        gamma=gamma,
+        gamma_r=gamma_r,
         differential=solvers.differential_value(g, limit),
-        is_roman=is_roman(g, limit),
+        is_roman=gamma_r == 2 * gamma,
         in_r_uvr=all(e == UNCHANGED for e in effects.values()),
         in_r_cvr=all(e != UNCHANGED for e in effects.values()),
         in_d_uvr=in_class_d_uvr(g, limit),

@@ -2,7 +2,7 @@
 
 The compiled Cython extension is preferred; the pure-Python module is the
 fallback and the reference semantics.  Set ``ROMANDOM_PURE=1`` to force the
-fallback (the parity tests do).
+fallback.
 """
 
 import os

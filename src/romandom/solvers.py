@@ -199,6 +199,12 @@ def tree_unique_gamma_structural(t: Graph, dom) -> bool:
     dset = frozenset(dom)
     if not is_dominating(t, dset):
         raise GraphError("set is not dominating")
+    return _tree_unique_gamma_structural(t, dset)
+
+
+def _tree_unique_gamma_structural(t: Graph, dset: frozenset[int]) -> bool:
+    """`tree_unique_gamma_structural` without validation: ``t`` must be a
+    tree of order at least 3 and ``dset`` a dominating set of it."""
     for v in dset:
         pn = sorted(private_neighbors(t, v, dset))
         ok = any(

@@ -116,3 +116,46 @@ def brute_bondage(g, brute_gamma_r_fn=brute_gamma_r, max_k=None):
             if brute_gamma_r_fn(delete_edges(g, sub)) > base:
                 return k
     return None
+
+
+def full_scan(rows, score):
+    """Lowest ``score(S, union)`` over all 2^n subset masks S and the masks
+    attaining it, ascending.  ``union`` is the OR of ``rows[v]`` over v in
+    S; a score of None drops S.  Returns (None, []) when every S drops."""
+    unions = [0] * (1 << len(rows))
+    best, out = None, []
+    for m in range(1 << len(rows)):
+        if m:
+            low = m & -m
+            unions[m] = unions[m ^ low] | rows[low.bit_length() - 1]
+        s = score(m, unions[m])
+        if s is None or (best is not None and s > best):
+            continue
+        if best is None or s < best:
+            best, out = s, []
+        out.append(m)
+    return best, out
+
+
+def full_scan_kernel(name, rows):
+    """What the scan kernel ``name`` of ``romandom.kernels`` returns on
+    ``rows`` (closed rows, or open rows for the differential scans), found
+    by a full 2^n scan."""
+    n = len(rows)
+    full = (1 << n) - 1
+    if name in ("min_weight_cover", "min_cover_masks"):
+        best, masks = full_scan(rows, lambda m, u: 2 * m.bit_count() + (full & ~u).bit_count())
+    elif name in ("min_dominating_size", "min_dominating_masks"):
+        best, masks = full_scan(rows, lambda m, u: m.bit_count() if u == full else None)
+        best = n if best is None else best  # both backends' value when no S covers
+    elif name in ("max_differential", "max_differential_masks"):
+        best, masks = full_scan(rows, lambda m, u: m.bit_count() - (u & ~m).bit_count())
+        best = -best
+    elif name == "efficient_dominating_masks":
+        def score(m, u):
+            sizes = sum(rows[v].bit_count() for v in range(n) if m >> v & 1)
+            return 0 if u == full and sizes == n else None
+        best, masks = full_scan(rows, score)
+    else:
+        raise ValueError(f"not a scan kernel: {name}")
+    return masks if name.endswith("_masks") else best
