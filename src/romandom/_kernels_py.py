@@ -1,15 +1,15 @@
-"""Pure-Python kernels for the subset-scan and canonicalization hot loops.
+"""The subset-scan and canonicalization hot loops, in pure Python.
 
-This module is the fallback backend: `romandom._kernels` (the compiled
-extension) implements the same functions with the same results.  Every
-routine works on bitmask adjacency rows (``rows[v]`` has bit ``u`` set when
-``uv`` is an edge).  Vertex-set arguments and results are encoded as int
-bitmasks over vertex ids ``0..n-1``; mask lists are ascending.
+This is the one implementation of the kernels; `romandom.kernels` re-exports
+its entry points.  Every routine works on bitmask adjacency rows
+(``rows[v]`` has bit ``u`` set when ``uv`` is an edge).  Vertex-set
+arguments and results are encoded as int bitmasks over vertex ids
+``0..n-1``; mask lists are ascending.
 
-The compiled scans visit all ``2^n`` subsets.  Here the subsets are visited
-by size instead (`_levels`), and each scan stops at the first size that
-cannot change its answer.  A k-subset S has Roman weight
-``2k + |V - N[S]| >= 2k`` and differential ``|B(S)| - k <= n - 2k``, so:
+The scans visit subsets by size (`_levels`) rather than all ``2^n`` of
+them, and each scan stops at the first size that cannot change its answer.
+A k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
+``|B(S)| - k <= n - 2k``, so:
 
 - `min_weight_cover` stops once ``2k >= best`` and `min_cover_masks` once
   ``2k > best`` (ties still count);
@@ -19,12 +19,8 @@ cannot change its answer.  A k-subset S has Roman weight
 - `efficient_dominating_masks` grows a set only by a closed neighborhood
   disjoint from the ones it has.
 
-``tests/test_kernels_py.py`` checks every scan against a full ``2^n`` scan;
-parity with the compiled backend is tested by ``tests/test_kernels.py``
-only when that backend is built.
+``tests/test_kernels_py.py`` checks every scan against a full ``2^n`` scan.
 """
-
-BACKEND_NAME = "pure"
 
 _MAX_SCAN_ORDER = 24
 
@@ -209,23 +205,6 @@ def canonical_permutation(rows):
     return best_perm
 
 
-def _is_connected_rows(rows, n):
-    if n == 0:
-        return True
-    seen = 1
-    while True:
-        grow = seen
-        m = seen
-        while m:
-            low = m & -m
-            grow |= rows[low.bit_length() - 1]
-            m ^= low
-        if grow == seen:
-            break
-        seen = grow
-    return seen == (1 << n) - 1
-
-
 def _triangle_code(cols, n):
     """Pack per-position column codes into the graph6 bit order.
 
@@ -248,9 +227,6 @@ def canonical_signature(rows):
     n = len(rows)
     if n <= 1:
         return 0
-    if n > 10:
-        # parity with the compiled backend, whose code is one machine word
-        raise ValueError("canonical_signature limited to 10 vertices")
     perm = canonical_permutation(rows)
     cols = [0] * n
     for j in range(1, n):
@@ -264,27 +240,25 @@ def canonical_signature(rows):
 
 def connected_canonical_signatures(n):
     """Canonical signatures of all connected graphs on n vertices, one per
-    isomorphism class, ascending.  Exhausts all 2^(n(n-1)/2) labeled graphs.
+    isomorphism class, ascending.
+
+    Built by vertex extension (the simple form of McKay's canonical
+    augmentation): every connected graph on k + 1 vertices has a vertex
+    whose deletion leaves it connected, such as a leaf of a spanning tree.
+    So the classes on k + 1 vertices are exactly the canonical forms of a
+    class on k vertices plus a new vertex joined to a nonempty subset of
+    its vertices.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return [0]
     if n > 7:
-        raise ValueError("exhaustive connected generation limited to 7 vertices")
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    nedges = len(pairs)
-    seen = set()
-    for mask in range(1 << nedges):
-        rows = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            i, j = pairs[low.bit_length() - 1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            m ^= low
-        if not _is_connected_rows(rows, n):
-            continue
-        seen.add(canonical_signature(rows))
-    return sorted(seen)
+        raise ValueError("connected generation limited to 7 vertices")
+    level = {0: [0]}  # signature -> rows of one graph in the class
+    for k in range(1, n):
+        grown = {}
+        for rows in level.values():
+            for nbrs in range(1, 1 << k):
+                ext = [r | (nbrs >> v & 1) << k for v, r in enumerate(rows)] + [nbrs]
+                grown.setdefault(canonical_signature(ext), ext)
+        level = grown
+    return sorted(level)

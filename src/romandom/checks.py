@@ -326,8 +326,12 @@ def _check_thm_un(limits: Limits) -> Iterator[Case]:
             # non-minimum dominating sets are never the unique minimum one
             k = summary.gamma + 1
             if k <= t.order:
+                closed, full = t.closed_rows(), t.full_mask
                 for combo in itertools.combinations(range(t.order), k):
-                    if not solvers.is_dominating(t, combo):
+                    reach = 0
+                    for v in combo:
+                        reach |= closed[v]
+                    if reach != full:
                         continue
                     if solvers._tree_unique_gamma_structural(t, frozenset(combo)):
                         return False, {"oversized_structural_set": list(combo)}

@@ -1,31 +1,21 @@
-"""Backend selection for the hot kernels.
+"""The hot kernels: the subset scans behind the solvers and the canonical
+search behind isomorphism classes.
 
-The compiled Cython extension is preferred; the pure-Python module is the
-fallback and the reference semantics.  Set ``ROMANDOM_PURE=1`` to force the
-fallback.
+They are implemented once, in pure Python, in `romandom._kernels_py`; this
+module is the name the rest of the package imports them by.
 """
 
-import os
+from ._kernels_py import (
+    canonical_permutation,
+    canonical_signature,
+    connected_canonical_signatures,
+    efficient_dominating_masks,
+    max_differential,
+    max_differential_masks,
+    min_cover_masks,
+    min_dominating_masks,
+    min_dominating_size,
+    min_weight_cover,
+)
 
-from . import _kernels_py
-
-if os.environ.get("ROMANDOM_PURE"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND = _impl.BACKEND_NAME
-
-min_weight_cover = _impl.min_weight_cover
-min_cover_masks = _impl.min_cover_masks
-min_dominating_size = _impl.min_dominating_size
-min_dominating_masks = _impl.min_dominating_masks
-max_differential = _impl.max_differential
-max_differential_masks = _impl.max_differential_masks
-efficient_dominating_masks = _impl.efficient_dominating_masks
-canonical_permutation = _impl.canonical_permutation
-canonical_signature = _impl.canonical_signature
-connected_canonical_signatures = _impl.connected_canonical_signatures
+BACKEND = "pure"

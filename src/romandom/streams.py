@@ -131,9 +131,9 @@ def _iter_connected(n: int) -> Iterator[Graph]:
 def connected_graphs(n: int) -> InstanceStream:
     """All connected graphs on n vertices up to isomorphism.
 
-    Exhausts all labeled graphs; at n = 7 this is about 2 million
-    canonicalizations, minutes with the compiled kernels and much slower
-    in pure mode.
+    The classes on n vertices are grown from those on n - 1 by adding a
+    vertex joined to each nonempty subset of the old vertices; the step
+    to n = 7 makes 7056 canonicalizations for 853 classes.
     """
     if not 1 <= n <= CONNECTED_GRAPH_LIMIT:
         raise GraphError(

@@ -1,8 +1,4 @@
-"""The pure backend's size-ordered subset scans against full 2^n scans.
-
-Runs whether or not the compiled backend is built: it calls
-``romandom._kernels_py`` directly.
-"""
+"""The kernels' size-ordered subset scans against full 2^n scans."""
 
 import random
 

@@ -1,8 +1,9 @@
 import itertools
 
+import networkx as nx
 import pytest
 
-from romandom import graphs, streams
+from romandom import graphs, kernels, streams
 from romandom.errors import Graph6Error, GraphError
 from romandom.graphs import canonical_form, is_connected, is_tree, is_unicyclic
 from romandom.streams import (
@@ -37,8 +38,24 @@ def test_free_trees_bounds():
 
 
 def test_connected_graph_counts_match_published():
-    for n in range(1, 7):
+    for n in range(1, 8):
         assert sum(1 for _ in connected_graphs(n)) == CONNECTED_GRAPH_COUNTS[n], n
+
+
+def test_connected_signatures_match_graph_atlas():
+    atlas = {n: set() for n in range(1, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n and nx.is_connected(h):
+            rows = [0] * n
+            for u, v in h.edges():
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            atlas[n].add(kernels.canonical_signature(rows))
+    for n in range(1, 8):
+        assert kernels.connected_canonical_signatures(n) == sorted(atlas[n]), n
+    with pytest.raises(ValueError):
+        kernels.connected_canonical_signatures(8)
 
 
 def test_connected_graphs_are_connected_and_distinct():
