@@ -19,7 +19,6 @@ from typing import Callable, Iterator
 from . import classify, labelled, solvers
 from .graphs import (
     Graph,
-    bits,
     boundary,
     connected_components,
     delete_edges,
@@ -192,13 +191,6 @@ def _label(g: Graph, **extra) -> dict:
     return out
 
 
-def _closed_reach(g: Graph, vertices) -> int:
-    reach = mask_of(vertices)
-    for v in bits(reach):
-        reach |= g.adjacency_mask(v)
-    return reach
-
-
 # -- independent brute-force enumeration (used where a check would otherwise
 #    lean on the very reduction it is meant to validate) ----------------------
 
@@ -275,7 +267,7 @@ def _check_lem_minus(limits: Limits) -> Iterator[Case]:
                 smaller = delete_vertices(g, [v])[0]
                 drop = base - solvers.roman_domination_number(smaller, LIMIT)
                 ever_one = any(
-                    not _closed_reach(g, s) >> v & 1 for s in _v2_sets(g)
+                    not g.closed_reach(mask_of(s)) >> v & 1 for s in _v2_sets(g)
                 )
                 if (drop > 0) != ever_one:
                     return False, {"vertex": v, "drop": drop, "label1_exists": ever_one}
@@ -307,7 +299,7 @@ def _check_thm_r(limits: Limits) -> Iterator[Case]:
         def case(g=g):
             roman = _gamma_r(g) == 2 * _gamma(g)
             no_ones = any(
-                _closed_reach(g, s) == g.full_mask for s in _v2_sets(g)
+                g.closed_reach(mask_of(s)) == g.full_mask for s in _v2_sets(g)
             )
             ok = roman == no_ones
             return ok, None if ok else {"roman": roman, "v1_empty_function": no_ones}
@@ -389,7 +381,7 @@ def _check_obs_pn3(limits: Limits) -> Iterator[Case]:
             if _gamma_r(g) != 2 * _gamma(g):
                 return False, {"not_roman": True}
             for v2 in _v2_sets(g):
-                if _closed_reach(g, v2) != g.full_mask:
+                if g.closed_reach(mask_of(v2)) != g.full_mask:
                     return False, {"v1_nonempty_for": sorted(v2)}
                 if len(v2) != _gamma(g):
                     return False, {"v2_not_minimum": sorted(v2)}
@@ -459,7 +451,7 @@ def _check_prop_02(limits: Limits) -> Iterator[Case]:
     for g in _connected_upto(limits.graphs_max_n):
         hyp = [
             v for v in range(g.order)
-            if all(_closed_reach(g, s) >> v & 1 for s in _v2_sets(g))
+            if all(g.closed_reach(mask_of(s)) >> v & 1 for s in _v2_sets(g))
         ]
         if not hyp:
             continue
@@ -497,12 +489,8 @@ def _check_cor_uvrtree(limits: Limits) -> Iterator[Case]:
         yield _label(t), case
 
 
-def _labelled_cases(limits: Limits) -> Iterator[labelled.LabelledTree]:
-    yield from _script_members(limits.trees_max_n)
-
-
 def _check_obs_sabc(limits: Limits) -> Iterator[Case]:
-    for lt in _labelled_cases(limits):
+    for lt in _script_members(limits.trees_max_n):
         def case(lt=lt):
             bad = labelled.sabc_violations(lt, LIMIT)
             return not bad, {"violations": bad} if bad else None
@@ -510,7 +498,7 @@ def _check_obs_sabc(limits: Limits) -> Iterator[Case]:
 
 
 def _check_cor_unilab(limits: Limits) -> Iterator[Case]:
-    for lt in _labelled_cases(limits):
+    for lt in _script_members(limits.trees_max_n):
         def case(lt=lt):
             rec = labelled.recognize_script_t(lt.tree, LIMIT)
             if rec is None:
@@ -540,9 +528,9 @@ def _criterion_unique_function(t: Graph) -> bool:
     if len(v2s) != 1:
         return False
     v2 = v2s[0]
-    if _closed_reach(t, v2) != t.full_mask:
-        return False
     v2mask = mask_of(v2)
+    if t.closed_reach(v2mask) != t.full_mask:
+        return False
     for v in v2:
         if t.adjacency_mask(v) & v2mask:
             return False
@@ -568,7 +556,7 @@ def _check_thm_main(limits: Limits) -> Iterator[Case]:
 
 
 def _check_cor_sb(limits: Limits) -> Iterator[Case]:
-    for lt in _labelled_cases(limits):
+    for lt in _script_members(limits.trees_max_n):
         def case(lt=lt):
             expected = labelled.canonical_gamma_r_function(lt)
             fns = solvers.gamma_r_functions(lt.tree, LIMIT)
@@ -578,7 +566,7 @@ def _check_cor_sb(limits: Limits) -> Iterator[Case]:
 
 
 def _check_cor_vdel(limits: Limits) -> Iterator[Case]:
-    for lt in _labelled_cases(limits):
+    for lt in _script_members(limits.trees_max_n):
         def case(lt=lt):
             t = lt.tree
             base = _gamma_r(t)
@@ -596,7 +584,7 @@ def _check_cor_vdel(limits: Limits) -> Iterator[Case]:
 
 
 def _check_cor_edel(limits: Limits) -> Iterator[Case]:
-    for lt in _labelled_cases(limits):
+    for lt in _script_members(limits.trees_max_n):
         f = labelled.canonical_gamma_r_function(lt)
         inner = [e for e in lt.tree.edges() if e[0] in f.v0 and e[1] in f.v0]
         if not inner:
@@ -614,7 +602,7 @@ def _check_cor_edel(limits: Limits) -> Iterator[Case]:
 
 
 def _check_prop_t1(limits: Limits) -> Iterator[Case]:
-    for lt in _labelled_cases(limits):
+    for lt in _script_members(limits.trees_max_n):
         def case(lt=lt):
             no_c = labelled.in_t1(lt)
             equality = 2 * lt.order == 3 * _gamma_r(lt.tree)

@@ -107,13 +107,10 @@ def vertex_never_one(g: Graph, v: int, limit: int = DEFAULT_LIMIT) -> bool:
     """
     if not (0 <= v < g.order):
         raise GraphError(f"vertex {v} not in graph")
-    for v2 in solvers.optimal_v2_sets(g, limit):
-        reach = mask_of(v2)
-        for u in v2:
-            reach |= g.adjacency_mask(u)
-        if not reach >> v & 1:
-            return False
-    return True
+    return all(
+        g.closed_reach(mask_of(v2)) >> v & 1
+        for v2 in solvers.optimal_v2_sets(g, limit)
+    )
 
 
 def _path_triple_bound(g: Graph) -> int:

@@ -66,6 +66,15 @@ class Graph:
     def closed_rows(self) -> list[int]:
         return [row | (1 << v) for v, row in enumerate(self._adj)]
 
+    def closed_reach(self, mask: int) -> int:
+        """The vertices of ``mask`` plus their neighbors, as a bitmask."""
+        if mask & ~self.full_mask:
+            raise GraphError("set contains out-of-range vertices")
+        reach = mask
+        for v in bits(mask):
+            reach |= self._adj[v]
+        return reach
+
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(bits(self._adj[v]))
 
@@ -269,27 +278,29 @@ def private_neighbors(g: Graph, x: int, members: Iterable[int]) -> frozenset[int
 def boundary(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
     """Vertices outside the set having a neighbor inside it."""
     smask = mask_of(vertices)
-    if smask & ~g.full_mask:
-        raise GraphError("set contains out-of-range vertices")
-    reach = 0
-    for v in bits(smask):
-        reach |= g.adjacency_mask(v)
-    return frozenset(bits(reach & ~smask))
+    return frozenset(bits(g.closed_reach(smask) & ~smask))
 
 
 # -- deletions and components --------------------------------------------------
 
 
+def _relabelled(g: Graph, old_ids: Sequence[int]) -> Graph:
+    """Subgraph induced by ``old_ids``, vertex ``old_ids[i]`` becoming i;
+    ``g`` itself when ``old_ids`` is 0..order-1."""
+    if list(old_ids) == list(range(g.order)):
+        return g
+    new_id = {u: i for i, u in enumerate(old_ids)}
+    keep = mask_of(old_ids)
+    rows = [0] * len(old_ids)
+    for i, u in enumerate(old_ids):
+        for w in bits(g.adjacency_mask(u) & keep):
+            rows[i] |= 1 << new_id[w]
+    return Graph(len(old_ids), rows)
+
+
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     """Remove v, relabel the rest contiguously; returns the old-to-new map."""
-    if not (0 <= v < g.order):
-        raise GraphError(f"vertex {v} not in graph of order {g.order}")
-    keep = [u for u in range(g.order) if u != v]
-    old_to_new = {u: i for i, u in enumerate(keep)}
-    edges = [
-        (old_to_new[a], old_to_new[b]) for a, b in g.edges() if a != v and b != v
-    ]
-    return build_graph(g.order - 1, edges), old_to_new
+    return delete_vertices(g, (v,))
 
 
 def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
@@ -298,14 +309,8 @@ def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
     for v in dropset:
         if not (0 <= v < g.order):
             raise GraphError(f"vertex {v} not in graph of order {g.order}")
-    keep = [u for u in range(g.order) if u not in dropset]
-    old_to_new = {u: i for i, u in enumerate(keep)}
-    edges = [
-        (old_to_new[a], old_to_new[b])
-        for a, b in g.edges()
-        if a not in dropset and b not in dropset
-    ]
-    return build_graph(len(keep), edges), old_to_new
+    keep = tuple(bits(g.full_mask & ~mask_of(dropset)))
+    return _relabelled(g, keep), {u: i for i, u in enumerate(keep)}
 
 
 def delete_edges(g: Graph, drop: Iterable[tuple[int, int]]) -> Graph:
@@ -324,35 +329,30 @@ def incident_edges(g: Graph, v: int) -> list[tuple[int, int]]:
     return [(min(v, u), max(v, u)) for u in bits(g.adjacency_mask(v))]
 
 
+def _component_masks(g: Graph) -> Iterator[int]:
+    """Vertex bitmask of each component, in order of its smallest vertex."""
+    rest = g.full_mask
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            frontier = g.closed_reach(frontier) & ~comp
+            comp |= frontier
+        rest &= ~comp
+        yield comp
+
+
 def connected_components(g: Graph) -> list[tuple[Graph, tuple[int, ...]]]:
-    """Component subgraphs with their vertex maps (new id -> old id)."""
-    seen = 0
+    """Component subgraphs with their vertex maps (new id -> old id); a
+    connected graph comes back as itself."""
     out = []
-    for start in range(g.order):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        while True:
-            grow = comp
-            for v in bits(comp):
-                grow |= g.adjacency_mask(v)
-            if grow == comp:
-                break
-            comp = grow
-        seen |= comp
+    for comp in _component_masks(g):
         old_ids = tuple(bits(comp))
-        old_to_new = {u: i for i, u in enumerate(old_ids)}
-        edges = [
-            (old_to_new[a], old_to_new[b])
-            for a, b in g.edges()
-            if comp >> a & 1 and comp >> b & 1
-        ]
-        out.append((build_graph(len(old_ids), edges), old_ids))
+        out.append((_relabelled(g, old_ids), old_ids))
     return out
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return next(_component_masks(g), 0) == g.full_mask
 
 
 def is_tree(g: Graph) -> bool:
@@ -360,7 +360,7 @@ def is_tree(g: Graph) -> bool:
 
 
 def is_forest(g: Graph) -> bool:
-    return all(c.size == c.order - 1 for c, _ in connected_components(g))
+    return g.size == g.order - sum(1 for _ in _component_masks(g))
 
 
 def is_unicyclic(g: Graph) -> bool:
@@ -452,8 +452,10 @@ def permute(g: Graph, old_to_new: Sequence[int]) -> Graph:
     """Relabel vertices: old_to_new[v] is the new id of v."""
     if sorted(old_to_new) != list(range(g.order)):
         raise GraphError("not a permutation of the vertex ids")
-    edges = [(old_to_new[a], old_to_new[b]) for a, b in g.edges()]
-    return build_graph(g.order, edges)
+    old_ids = [0] * g.order
+    for v, new in enumerate(old_to_new):
+        old_ids[new] = v
+    return _relabelled(g, old_ids)
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -467,10 +469,7 @@ def canonical_form(g: Graph) -> bytes:
             f"canonical_form limited to order {CANONICAL_ORDER_LIMIT}, got {g.order}"
         )
     perm = kernels.canonical_permutation(g.open_rows())
-    pos_of = [0] * g.order
-    for pos, v in enumerate(perm):
-        pos_of[v] = pos
-    return write_graph6(permute(g, pos_of)).encode("ascii")
+    return write_graph6(_relabelled(g, perm)).encode("ascii")
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -6,7 +6,8 @@ is the closure of the labelled 3-vertex star (leaves A, center B) under
 operations O1-O4.  Membership of an arbitrary tree can be decided two
 independent ways: a solver-backed criterion on the unique minimum
 dominating set, and a structural peeling that reconstructs an explicit
-build script; the harness cross-checks them against each other.
+build script.  The verify checks use only the solver-backed recognizer;
+the two are cross-checked against each other in the test suite.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .graphs import (
     bits,
     build_graph,
     is_tree,
+    mask_of,
     parse_graph6,
     private_neighbors,
     tree_canonical_key,
@@ -233,9 +235,7 @@ def recognize_script_t(t: Graph, limit: int = solvers.DEFAULT_EXACT_LIMIT) -> Op
     if not summary.unique:
         return None
     dom = summary.all_min_sets[0]
-    dmask = 0
-    for v in dom:
-        dmask |= 1 << v
+    dmask = mask_of(dom)
     for v in dom:
         if t.adjacency_mask(v) & dmask:
             return None  # not independent
@@ -469,9 +469,7 @@ def sabc_violations(lt: LabelledTree, limit: int = solvers.DEFAULT_EXACT_LIMIT) 
     out = []
     t = lt.tree
     s_a, s_b, s_c = lt.s_a, lt.s_b, lt.s_c
-    bmask = 0
-    for v in s_b:
-        bmask |= 1 << v
+    bmask = mask_of(s_b)
     # (i) B independent dominating; two A-neighbors; private neighborhood shape
     if not solvers.is_dominating(t, s_b):
         out.append("B-set is not dominating")

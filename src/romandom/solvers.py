@@ -82,13 +82,7 @@ class DominationSummary:
 
 def is_dominating(g: Graph, vertices) -> bool:
     """True when every vertex is in the set or adjacent to it."""
-    dmask = mask_of(vertices)
-    if dmask & ~g.full_mask:
-        raise GraphError("set contains out-of-range vertices")
-    reach = dmask
-    for v in bits(dmask):
-        reach |= g.adjacency_mask(v)
-    return reach == g.full_mask
+    return g.closed_reach(mask_of(vertices)) == g.full_mask
 
 
 def _component_value(g: Graph, limit: int, kernel, rows) -> int:
@@ -141,10 +135,7 @@ def function_from_v2(g: Graph, v2) -> RomanFunction:
     """The minimum-weight function with the given V2: unreached vertices
     get label 1, dominated outsiders get 0."""
     v2mask = mask_of(v2)
-    reach = v2mask
-    for v in bits(v2mask):
-        reach |= g.adjacency_mask(v)
-    v1mask = g.full_mask & ~reach
+    v1mask = g.full_mask & ~g.closed_reach(v2mask)
     v0mask = g.full_mask & ~v2mask & ~v1mask
     return RomanFunction(
         g.order,

@@ -80,22 +80,18 @@ def _parents(seq: list[int]) -> list[int | None]:
 
 
 def _iter_free_trees(n: int) -> Iterator[Graph]:
-    if n == 1:
-        yield build_graph(1, [])
-        return
     for seq in _level_sequences(n):
         parents = _parents(seq)
         cents = _centroids(parents, range(n))
         if 0 not in cents:
             continue
-        if len(cents) == 2:
-            rows = [0] * n
-            for v in range(1, n):
-                rows[v] |= 1 << parents[v]
-                rows[parents[v]] |= 1 << v
-            if seq < _rooted_code(rows, cents[1]):
-                continue
-        yield build_graph(n, [(v, parents[v]) for v in range(1, n)])
+        rows = [0] * n
+        for v in range(1, n):
+            rows[v] |= 1 << parents[v]
+            rows[parents[v]] |= 1 << v
+        if len(cents) == 2 and seq < _rooted_code(rows, cents[1]):
+            continue
+        yield Graph(n, rows)
 
 
 def free_trees(n: int) -> InstanceStream:
@@ -153,7 +149,10 @@ def _iter_unicyclic(n: int) -> Iterator[Graph]:
             for i in range(j):
                 if tree.has_edge(i, j):
                     continue
-                g = build_graph(n, tree.edges() + [(i, j)])
+                rows = list(tree.open_rows())
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+                g = Graph(n, rows)
                 key = canonical_form(g)
                 if key in seen:
                     continue

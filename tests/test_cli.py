@@ -126,10 +126,33 @@ def test_verify_rejects_unknown_suite(capsys):
     assert err.value.code == 2
 
 
-def test_verify_limit_bounds(capsys):
-    code, _, err = run_cli(capsys, "verify", "--suite", "EQ1", "--graphs-max-n", "9")
+# Each documented limit plus one, fed through the CLI: (argv, order of a
+# path graph appended as the input file or None, text the error must name).
+LIMIT_PLUS_ONE = {
+    "verify-graphs-max-n-9": (["verify", "--suite", "EQ1", "--graphs-max-n", "9"], None, "graphs_max_n"),
+    "verify-trees-max-n-17": (["verify", "--trees-max-n", "17"], None, "trees_max_n"),
+    "verify-graphs-max-n-8": (["verify", "--graphs-max-n", "8"], None, "graphs_max_n"),
+    "verify-unicyclic-n-11": (["verify", "--unicyclic-n", "11"], None, "unicyclic_n"),
+    "generate-free-trees-17": (["generate", "free-trees", "--n", "17"], None, "n <= 16"),
+    "generate-unicyclic-11": (["generate", "unicyclic", "--n", "11"], None, "n <= 10"),
+    "explore-unicyclic-11": (["explore", "unicyclic", "--n", "11"], None, "n <= 10"),
+    "explore-sizes-8": (["explore", "sizes", "--n", "8"], None, "order 7"),
+    "compute-path-21": (["compute", "gamma-r"], 21, "order 20, got 21"),
+    "compute-path-25-limit-30": (["compute", "gamma-r", "--limit", "30"], 25, "24 vertices, got 25"),
+}
+
+
+@pytest.mark.parametrize("case", LIMIT_PLUS_ONE)
+def test_verify_limit_bounds(capsys, tmp_path, case):
+    argv, path_order, named = LIMIT_PLUS_ONE[case]
+    if path_order is not None:
+        path = tmp_path / "in.g6"
+        path.write_text(graphs.write_graph6(graphs.path_graph(path_order)) + "\n",
+                        encoding="ascii")
+        argv = argv[:2] + [str(path)] + argv[2:]
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "graphs_max_n" in err
+    assert err.startswith("error:") and named in err
 
 
 def test_verify_output_is_byte_identical(capsys):

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from romandom import graphs
@@ -13,9 +14,11 @@ from romandom.graphs import (
     connected_components,
     delete_edges,
     delete_vertex,
+    delete_vertices,
     disjoint_union,
     forest_canonical_key,
     is_connected,
+    is_forest,
     is_tree,
     parse_graph6,
     permute,
@@ -143,6 +146,64 @@ def test_deletion_then_components_never_raises():
         v = rng.randrange(g.order)
         smaller, _ = delete_vertex(g, v)
         connected_components(smaller)
+
+    for trial in range(100):
+        g = random_graph(rng, rng.randint(0, 9), rng.choice((0.15, 0.3, 0.5)))
+        if trial % 3 == 0:
+            g = disjoint_union(g, random_graph(rng, rng.randint(0, 5)))
+        n = g.order
+        if n:
+            v = rng.randrange(n)
+            assert delete_vertex(g, v) == delete_vertices(g, [v])
+            with pytest.raises(GraphError):
+                delete_vertex(g, -1)
+            with pytest.raises(GraphError):
+                delete_vertices(g, [0, n])
+
+        # deletions against an edge-list reference
+        drop = {u for u in range(n) if rng.random() < 0.3}
+        smaller, old_to_new = delete_vertices(g, drop)
+        keep = [u for u in range(n) if u not in drop]
+        assert old_to_new == {u: i for i, u in enumerate(keep)}
+        kept_edges = [(old_to_new[a], old_to_new[b]) for a, b in g.edges()
+                      if a not in drop and b not in drop]
+        assert smaller == build_graph(len(keep), kept_edges)
+
+        # components relabelled back partition vertices and edges
+        for h in (g, smaller):
+            comps = connected_components(h)
+            firsts = [old_ids[0] for _, old_ids in comps]
+            assert firsts == sorted(firsts)
+            assert sorted(u for _, old_ids in comps for u in old_ids) == list(range(h.order))
+            back = [(old_ids[a], old_ids[b]) for c, old_ids in comps for a, b in c.edges()]
+            assert sorted(back) == h.edges()
+            assert all(is_connected(c) and list(old_ids) == sorted(old_ids)
+                       for c, old_ids in comps)
+            if len(comps) == 1:
+                assert comps[0][0] is h and comps[0][1] == tuple(range(h.order))
+
+            reference = nx.Graph()
+            reference.add_nodes_from(range(h.order))
+            reference.add_edges_from(h.edges())
+            if h.order:
+                assert len(comps) == nx.number_connected_components(reference)
+                assert is_connected(h) == nx.is_connected(reference)
+                assert is_forest(h) == nx.is_forest(reference)
+                assert is_tree(h) == nx.is_tree(reference)
+            else:
+                assert comps == [] and is_connected(h) and is_forest(h) and not is_tree(h)
+
+            mask = rng.getrandbits(h.order) if h.order else 0
+            reach = mask
+            for u in range(h.order):
+                if mask >> u & 1:
+                    reach |= h.adjacency_mask(u)
+            assert h.closed_reach(mask) == reach
+        with pytest.raises(GraphError):
+            g.closed_reach(1 << n)
+
+    connected = graphs.cycle_graph(5)
+    assert connected_components(connected)[0][0] is connected
 
 
 def test_tree_predicates():
