@@ -263,9 +263,9 @@ def _check_lem_minus(limits: Limits) -> Iterator[Case]:
     for g in _connected_upto(limits.graphs_max_n):
         def case(g=g):
             base = _gamma_r(g)
-            for v in range(g.order):
-                smaller = delete_vertices(g, [v])[0]
-                drop = base - solvers.roman_domination_number(smaller, LIMIT)
+            afters = classify._after_deletions(g, solvers.roman_domination_number, LIMIT)
+            for v, after in enumerate(afters):
+                drop = base - after
                 ever_one = any(
                     not g.closed_reach(mask_of(s)) >> v & 1 for s in _v2_sets(g)
                 )

@@ -139,8 +139,11 @@ def bits(mask: int) -> Iterator[int]:
 
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
-    for v in vertices:
-        m |= 1 << v
+    try:
+        for v in vertices:
+            m |= 1 << v
+    except ValueError:
+        raise GraphError("vertex ids must be nonnegative") from None
     return m
 
 
@@ -267,7 +270,9 @@ def private_neighbors(g: Graph, x: int, members: Iterable[int]) -> frozenset[int
     x itself is included when its only set member in N[x] is x.
     """
     xmask = mask_of(members)
-    if not xmask >> x & 1:
+    if xmask & ~g.full_mask:
+        raise GraphError("set contains out-of-range vertices")
+    if x < 0 or not xmask >> x & 1:
         raise GraphError(f"vertex {x} is not in the given set")
     want = 1 << x
     return frozenset(

@@ -3,11 +3,15 @@ growth operations, its recognition, and its canonical optimal function.
 
 A labelling assigns each vertex one of the statuses A, B, C.  The family
 is the closure of the labelled 3-vertex star (leaves A, center B) under
-operations O1-O4.  Membership of an arbitrary tree can be decided two
-independent ways: a solver-backed criterion on the unique minimum
-dominating set, and a structural peeling that reconstructs an explicit
-build script.  The verify checks use only the solver-backed recognizer;
-the two are cross-checked against each other in the test suite.
+operations O1-O4.  The table ``_OPERATIONS`` is the single definition of
+the operations (attach-vertex statuses, gadget statuses and shape); the
+apply functions, the replay, the generator and the decomposition all read
+it.  Membership of an arbitrary tree can be decided two independent ways:
+a solver-backed criterion on the unique minimum dominating set, and a
+structural peeling that reconstructs an explicit build script.  The peel
+is a loop with no recursion and no order cap.  The verify checks use only
+the solver-backed recognizer; the two are cross-checked against each
+other in the test suite.
 """
 
 from __future__ import annotations
@@ -35,9 +39,6 @@ STATUS_C = "C"
 _STATUSES = (STATUS_A, STATUS_B, STATUS_C)
 
 O1, O2, O3, O4 = "O1", "O2", "O3", "O4"
-
-# Vertex the fresh 7-vertex gadget of O4 exposes for attachment
-O4_ATTACH_OFFSET = 3
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,33 @@ def base_k12() -> LabelledTree:
     return LabelledTree(build_graph(3, [(0, 1), (1, 2)]), (STATUS_A, STATUS_B, STATUS_A))
 
 
-def _extended(lt: LabelledTree, new_edges, new_statuses) -> LabelledTree:
+# op -> (statuses allowed at the attach vertex u, status word of the gadget,
+# gadget edges in local ids 0..k-1, local id of the gadget vertex joined to u).
+# The gadget's vertices get ids n..n+k-1 in local order.
+_OPERATIONS = {
+    O1: ((STATUS_A, STATUS_C), "ABA", ((0, 1), (1, 2)), 0),
+    O2: ((STATUS_B,), "CBAA", ((0, 1), (1, 2), (1, 3)), 0),
+    O3: ((STATUS_C,), "ABA", ((0, 1), (1, 2)), 1),
+    O4: ((STATUS_A, STATUS_C), "ABACBAA", ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (4, 6)), 3),
+}
+
+
+def _apply(lt: LabelledTree, op: str, u: int) -> LabelledTree:
+    allowed, word, edges, joined = _OPERATIONS[op]
     n = lt.order
-    edges = lt.tree.edges() + new_edges
-    return LabelledTree(
-        build_graph(n + len(new_statuses), edges), lt.statuses + tuple(new_statuses)
-    )
+    if not 0 <= u < n:
+        raise OperationError(f"{op} needs a vertex of the tree, got {u}")
+    if lt.status(u) not in allowed:
+        raise OperationError(
+            f"{op} needs status {' or '.join(allowed)} at vertex {u}, found {lt.status(u)}"
+        )
+    rows = list(lt.tree.open_rows()) + [0] * len(word)
+    for a, b in edges:
+        rows[n + a] |= 1 << n + b
+        rows[n + b] |= 1 << n + a
+    rows[u] |= 1 << n + joined
+    rows[n + joined] |= 1 << u
+    return LabelledTree(Graph(n + len(word), rows), lt.statuses + tuple(word))
 
 
 def apply_o1(lt: LabelledTree, u: int) -> LabelledTree:
@@ -110,10 +132,7 @@ def apply_o1(lt: LabelledTree, u: int) -> LabelledTree:
 
     New ids: x=n (A), y=n+1 (B), z=n+2 (A).
     """
-    if lt.status(u) not in (STATUS_A, STATUS_C):
-        raise OperationError(f"O1 needs status A or C at vertex {u}, found {lt.status(u)}")
-    n = lt.order
-    return _extended(lt, [(u, n), (n, n + 1), (n + 1, n + 2)], (STATUS_A, STATUS_B, STATUS_A))
+    return _apply(lt, O1, u)
 
 
 def apply_o2(lt: LabelledTree, u: int) -> LabelledTree:
@@ -122,14 +141,7 @@ def apply_o2(lt: LabelledTree, u: int) -> LabelledTree:
 
     New ids: x=n (C), y=n+1 (B), z=n+2 (A), t=n+3 (A).
     """
-    if lt.status(u) != STATUS_B:
-        raise OperationError(f"O2 needs status B at vertex {u}, found {lt.status(u)}")
-    n = lt.order
-    return _extended(
-        lt,
-        [(u, n), (n, n + 1), (n + 1, n + 2), (n + 1, n + 3)],
-        (STATUS_C, STATUS_B, STATUS_A, STATUS_A),
-    )
+    return _apply(lt, O2, u)
 
 
 def apply_o3(lt: LabelledTree, u: int) -> LabelledTree:
@@ -138,10 +150,7 @@ def apply_o3(lt: LabelledTree, u: int) -> LabelledTree:
 
     New ids: x=n (A), y=n+1 (B), z=n+2 (A).
     """
-    if lt.status(u) != STATUS_C:
-        raise OperationError(f"O3 needs status C at vertex {u}, found {lt.status(u)}")
-    n = lt.order
-    return _extended(lt, [(u, n + 1), (n, n + 1), (n + 1, n + 2)], (STATUS_A, STATUS_B, STATUS_A))
+    return _apply(lt, O3, u)
 
 
 def apply_o4(lt: LabelledTree, u: int) -> LabelledTree:
@@ -151,25 +160,7 @@ def apply_o4(lt: LabelledTree, u: int) -> LabelledTree:
     New ids n..n+6: a=n (A), b=n+1 (B), c=n+2 (A), x=n+3 (C), y=n+4 (B),
     z=n+5 (A), t=n+6 (A); edges a-b, b-c, b-x, x-y, y-z, y-t, plus u-x.
     """
-    if lt.status(u) not in (STATUS_A, STATUS_C):
-        raise OperationError(f"O4 needs status A or C at vertex {u}, found {lt.status(u)}")
-    n = lt.order
-    edges = [
-        (n, n + 1),
-        (n + 1, n + 2),
-        (n + 1, n + 3),
-        (n + 3, n + 4),
-        (n + 4, n + 5),
-        (n + 4, n + 6),
-        (u, n + 3),
-    ]
-    statuses = (STATUS_A, STATUS_B, STATUS_A, STATUS_C, STATUS_B, STATUS_A, STATUS_A)
-    return _extended(lt, edges, statuses)
-
-
-_OPERATIONS = {O1: apply_o1, O2: apply_o2, O3: apply_o3, O4: apply_o4}
-
-_GROWTH = {O1: 3, O2: 4, O3: 3, O4: 7}
+    return _apply(lt, O4, u)
 
 
 def labelled_r() -> LabelledTree:
@@ -181,7 +172,7 @@ def replay_script(script) -> LabelledTree:
     """Rebuild a labelled tree from a list of (operation, attach vertex)."""
     lt = base_k12()
     for op, u in script:
-        lt = _OPERATIONS[op](lt, u)
+        lt = _apply(lt, op, u)
     return lt
 
 
@@ -199,16 +190,13 @@ def generate_script_t(max_order: int) -> list[LabelledTree]:
     while frontier:
         nxt = []
         for lt in frontier:
-            for op, fn in _OPERATIONS.items():
-                if lt.order + _GROWTH[op] > max_order:
+            for op, (allowed, word, _, _) in _OPERATIONS.items():
+                if lt.order + len(word) > max_order:
                     continue
-                allowed = (STATUS_B,) if op == O2 else (
-                    (STATUS_C,) if op == O3 else (STATUS_A, STATUS_C)
-                )
                 for u in range(lt.order):
                     if lt.status(u) not in allowed:
                         continue
-                    child = fn(lt, u)
+                    child = _apply(lt, op, u)
                     key = tree_canonical_key(child.tree)
                     if key in seen:
                         continue
@@ -255,10 +243,10 @@ def recognize_script_t(t: Graph, limit: int = solvers.DEFAULT_EXACT_LIMIT) -> Op
 # -- structural decomposition --------------------------------------------------
 #
 # Peels one gadget at a time from the deep end of a diametral path, mirroring
-# how the family is built.  Works on the original vertex ids through an
-# "alive" bitmask, and carries an original-id -> rebuilt-id map so each peel
-# can be replayed immediately; the replay enforces the status preconditions,
-# so a wrong greedy choice is caught and the next candidate tried.
+# how the family is built, down to the 3-vertex base.  Works on the original
+# vertex ids through an "alive" bitmask.  The peels are then replayed in
+# reverse through the operation table, carrying an original-id -> rebuilt-id
+# map; the replay enforces the status preconditions.
 
 
 def _bfs_far(adj, alive: int, src: int):
@@ -292,133 +280,50 @@ def _diametral_path(adj, alive: int) -> list[int]:
     return path
 
 
-def _peel(adj, alive: int):
-    """Returns (labelled tree, orig->rebuilt map, script) or None."""
-    n_alive = alive.bit_count()
-    if n_alive < 3 or n_alive in (4, 5):
-        return None
-    live = list(bits(alive))
-    deg = {v: (adj[v] & alive).bit_count() for v in live}
-    if n_alive == 3:
-        center = next(v for v in live if deg[v] == 2)
-        leaves = sorted(v for v in live if v != center)
-        mapping = {leaves[0]: 0, center: 1, leaves[1]: 2}
-        return base_k12(), mapping, []
+def _next_peel(adj, alive: int):
+    """The gadget at the deep end of a diametral path of the tree ``alive``,
+    or None when no operation can have put it there.
 
+    Returns a list of alternatives, each a list of (op, attach vertex, gadget
+    vertices in local order); every alternative removes the same vertices.
+    """
     path = _diametral_path(adj, alive)
     if len(path) <= 4:
         return None  # stars and diameter-3 trees have no members this large
     xm, xm1, xm2 = path[-1], path[-2], path[-3]
 
-    def leaf_neighbors(v):
-        return sorted(u for u in bits(adj[v] & alive) if deg[u] == 1)
+    def deg(v):
+        return (adj[v] & alive).bit_count()
 
-    if deg[xm1] == 2:
-        if deg[xm2] != 2:
-            return None
-        u = next(w for w in bits(adj[xm2] & alive) if w != xm1)
-        sub = _peel(adj, alive & ~((1 << xm) | (1 << xm1) | (1 << xm2)))
-        if sub is None:
-            return None
-        lt, mapping, script = sub
-        if lt.status(mapping[u]) not in (STATUS_A, STATUS_C):
-            return None
-        base = lt.order
-        lt2 = apply_o1(lt, mapping[u])
-        mapping2 = dict(mapping)
-        mapping2.update({xm2: base, xm1: base + 1, xm: base + 2})
-        return lt2, mapping2, script + [(O1, mapping[u])]
+    def leaves(v):
+        return [u for u in bits(adj[v] & alive) if deg(u) == 1]
 
-    # deep-end support vertex with at least two leaves
-    leaves1 = leaf_neighbors(xm1)
-    if deg[xm1] != 3 or len(leaves1) != 2:
+    if deg(xm1) == 2:
+        if deg(xm2) != 2:
+            return None
+        (u,) = bits(adj[xm2] & alive & ~(1 << xm1))
+        return [[(O1, u, [xm2, xm1, xm])]]
+
+    # deep-end support vertex with exactly two leaves
+    ends = leaves(xm1)
+    if deg(xm1) != 3 or len(ends) != 2:
         return None
-    others = [w for w in bits(adj[xm2] & alive) if w != xm1]
-    zshaped = [w for w in others if deg[w] == 3 and len(leaf_neighbors(w)) == 2]
+    others = list(bits(adj[xm2] & alive & ~(1 << xm1)))
+    zshaped = [w for w in others if deg(w) == 3 and len(leaves(w)) == 2]
     rest = [w for w in others if w not in zshaped]
-    if len(rest) > 1:
+    if not others or len(rest) > 1:
         return None
-    port = rest[0] if rest else None
-
-    candidates = []
     if len(zshaped) >= 2:
-        candidates.append((O3, None))
-    elif len(zshaped) == 1 and port is None:
-        candidates.append((O2, zshaped[0]))
-    elif len(zshaped) == 1:
-        candidates.append((O3, None))
-        candidates.append((O4, port))
-    elif port is not None:
-        candidates.append((O2, port))
-    else:
-        return None
-
-    for op, attach in candidates:
-        if op == O3:
-            removed = (1 << xm1) | (1 << leaves1[0]) | (1 << leaves1[1])
-            sub = _peel(adj, alive & ~removed)
-            if sub is None:
-                continue
-            lt, mapping, script = sub
-            if lt.status(mapping[xm2]) != STATUS_C:
-                continue
-            base = lt.order
-            lt2 = apply_o3(lt, mapping[xm2])
-            mapping2 = dict(mapping)
-            mapping2.update(
-                {leaves1[0]: base, xm1: base + 1, leaves1[1]: base + 2}
-            )
-            result = lt2, mapping2, script + [(O3, mapping[xm2])]
-        elif op == O2:
-            removed = (1 << xm2) | (1 << xm1) | (1 << leaves1[0]) | (1 << leaves1[1])
-            sub = _peel(adj, alive & ~removed)
-            if sub is None:
-                continue
-            lt, mapping, script = sub
-            if lt.status(mapping[attach]) != STATUS_B:
-                continue
-            base = lt.order
-            lt2 = apply_o2(lt, mapping[attach])
-            mapping2 = dict(mapping)
-            mapping2.update(
-                {xm2: base, xm1: base + 1, leaves1[0]: base + 2, leaves1[1]: base + 3}
-            )
-            result = lt2, mapping2, script + [(O2, mapping[attach])]
-        else:  # O4
-            z = zshaped[0]
-            zleaves = leaf_neighbors(z)
-            removed = (
-                (1 << xm2)
-                | (1 << xm1)
-                | (1 << leaves1[0])
-                | (1 << leaves1[1])
-                | (1 << z)
-                | (1 << zleaves[0])
-                | (1 << zleaves[1])
-            )
-            sub = _peel(adj, alive & ~removed)
-            if sub is None:
-                continue
-            lt, mapping, script = sub
-            if lt.status(mapping[attach]) not in (STATUS_A, STATUS_C):
-                continue
-            base = lt.order
-            lt2 = apply_o4(lt, mapping[attach])
-            mapping2 = dict(mapping)
-            mapping2.update(
-                {
-                    zleaves[0]: base,
-                    z: base + 1,
-                    zleaves[1]: base + 2,
-                    xm2: base + 3,
-                    xm1: base + 4,
-                    leaves1[0]: base + 5,
-                    leaves1[1]: base + 6,
-                }
-            )
-            result = lt2, mapping2, script + [(O4, mapping[attach])]
-        return result
-    return None
+        return [[(O3, xm2, [ends[0], xm1, ends[1]])]]
+    if len(others) == 1:
+        return [[(O2, others[0], [xm2, xm1, *ends])]]
+    # one Z-shaped neighbour plus a port: its status decides at replay
+    z, port = zshaped[0], rest[0]
+    zends = leaves(z)
+    return [
+        [(O2, port, [xm2, z, *zends]), (O3, xm2, [ends[0], xm1, ends[1]])],
+        [(O4, port, [zends[0], z, zends[1], xm2, xm1, *ends])],
+    ]
 
 
 def decompose_script_t(t: Graph) -> Optional[list[tuple[str, int]]]:
@@ -433,10 +338,32 @@ def decompose_script_t(t: Graph) -> Optional[list[tuple[str, int]]]:
         raise GraphError("expected a tree")
     if t.order < 3:
         raise GraphError("expected order at least 3")
-    res = _peel(t.open_rows(), t.full_mask)
-    if res is None:
+    adj, alive = t.open_rows(), t.full_mask
+    peels = []
+    while alive.bit_count() > 5:
+        alternatives = _next_peel(adj, alive)
+        if alternatives is None:
+            return None
+        peels.append(alternatives)
+        for _, _, gadget in alternatives[0]:
+            alive &= ~mask_of(gadget)
+    if alive.bit_count() != 3:
         return None
-    lt, mapping, script = res
+    center = next(v for v in bits(alive) if (adj[v] & alive).bit_count() == 2)
+    low, high = bits(alive & ~(1 << center))
+    mapping = {low: 0, center: 1, high: 2}
+    lt, script = base_k12(), []
+    for alternatives in reversed(peels):
+        for steps in alternatives:
+            op, u, _ = steps[0]
+            if lt.status(mapping[u]) in _OPERATIONS[op][0]:
+                break
+        else:
+            return None
+        for op, u, gadget in steps:
+            script.append((op, mapping[u]))
+            mapping.update(zip(gadget, range(lt.order, lt.order + len(gadget))))
+            lt = _apply(lt, op, mapping[u])
     # the peel tracked ids exactly, so the rebuilt edges must match 1:1
     rebuilt = {(min(a, b), max(a, b)) for a, b in lt.tree.edges()}
     original = {

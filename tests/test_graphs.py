@@ -26,6 +26,7 @@ from romandom.graphs import (
     tree_canonical_key,
     write_graph6,
 )
+from romandom.solvers import is_dominating
 
 
 def random_graph(rng, n, p=0.4):
@@ -117,6 +118,21 @@ def test_boundary_examples():
     assert boundary(p3, []) == frozenset()
     c6 = graphs.cycle_graph(6)
     assert boundary(c6, [0, 3]) == frozenset({1, 2, 4, 5})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: is_dominating(g, [-1]),
+        lambda g: boundary(g, [-1]),
+        lambda g: private_neighbors(g, -1, [-1]),
+        lambda g: private_neighbors(g, 5, [5]),
+    ],
+    ids=["is_dominating-negative", "boundary-negative", "private-negative", "private-outside"],
+)
+def test_bad_vertex_ids_raise_graph_error(call):
+    with pytest.raises(GraphError):
+        call(graphs.path_graph(3))
 
 
 def test_delete_vertex_relabels_and_maps():

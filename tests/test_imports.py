@@ -1,7 +1,10 @@
-"""No module in the package imports a name it never uses.
+"""No module in the package imports a name it never uses, and no
+module-level name of the package goes unused by the package, its tests and
+its benchmark.
 
 No linter ships with the project, so this parses each module with ``ast``.
-The re-export modules are exempt: importing is their job.
+The re-export modules are exempt from the import guard: importing is their
+job.
 """
 
 import ast
@@ -39,3 +42,52 @@ def test_the_guard_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# -- dead names ------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+DEAD_NAME_EXEMPT = {"__version__"}
+
+
+def module_level_names(source: str) -> list[str]:
+    """Functions, classes and assigned names at the top of a module."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, attributes looked up and names imported."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def test_the_guard_sees_a_dead_name():
+    source = "A = 1\nB, C = 2, 3\ndef f():\n    return B\nclass K:\n    pass\n"
+    assert module_level_names(source) == ["A", "B", "C", "f", "K"]
+    assert referenced_names(source) == {"B"}
+
+
+def test_every_module_level_name_is_used():
+    used = set().union(*(referenced_names(p.read_text()) for p in SOURCES))
+    dead = [
+        f"{path.stem}.{name}"
+        for path in sorted((ROOT / "src" / "romandom").glob("*.py"))
+        for name in module_level_names(path.read_text())
+        if name not in used and name not in DEAD_NAME_EXEMPT
+    ]
+    assert dead == []

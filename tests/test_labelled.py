@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from oracles import brute_gamma_r
@@ -72,6 +74,13 @@ def test_o4_attaches_fresh_gadget():
         apply_o4(base_k12(), 1)
 
 
+@pytest.mark.parametrize("apply", [apply_o1, apply_o2, apply_o3, apply_o4])
+@pytest.mark.parametrize("u", [-1, 3])
+def test_operations_need_a_vertex_of_the_tree(apply, u):
+    with pytest.raises(OperationError):
+        apply(base_k12(), u)
+
+
 def test_generate_small_orders():
     only_base = generate_script_t(3)
     assert len(only_base) == 1 and only_base[0].order == 3
@@ -121,13 +130,24 @@ def test_decompose_examples():
 
 
 def test_decompose_replays_all_members():
-    for lt in generate_script_t(11):
+    for lt in generate_script_t(16):
         script = decompose_script_t(lt.tree)
         assert script is not None, serialize_labelled(lt)
         rebuilt = replay_script(script)
         assert tree_canonical_key(rebuilt.tree) == tree_canonical_key(lt.tree)
         # the labelling is unique per tree, so the status counts must agree
         assert sorted(rebuilt.statuses) == sorted(lt.statuses)
+
+
+def test_decompose_needs_no_recursion():
+    # 299 O1 steps; the peel is a loop, so a shallow stack is enough
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        script = decompose_script_t(graphs.path_graph(900))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert script is not None and len(script) == 299
 
 
 def test_recognize_and_decompose_agree_small():
