@@ -20,6 +20,11 @@ A k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
   disjoint from the ones it has.
 
 ``tests/test_kernels_py.py`` checks every scan against a full ``2^n`` scan.
+
+The one canonical encoding of a graph is `canonical_signature`: the tuple
+of adjacency rows after relabelling by `canonical_permutation`.  It is a
+hashable dedupe key, and ``Graph(n, signature)`` is the canonical graph
+itself, so nothing decodes it.
 """
 
 _MAX_SCAN_ORDER = 24
@@ -205,37 +210,13 @@ def canonical_permutation(rows):
     return best_perm
 
 
-def _triangle_code(cols, n):
-    """Pack per-position column codes into the graph6 bit order.
-
-    Bit index of pair (i, j), i < j, is j(j-1)/2 + i; column j stores bit i
-    at position j-1-i (MSB first).
-    """
-    code = 0
-    idx = 0
-    for j in range(1, n):
-        col = cols[j]
-        for i in range(j):
-            bit = (col >> (j - 1 - i)) & 1
-            code |= bit << idx
-            idx += 1
-    return code
-
-
 def canonical_signature(rows):
-    """Canonical upper-triangle bit code of the graph, order implicit."""
-    n = len(rows)
-    if n <= 1:
-        return 0
+    """Adjacency rows of the canonically relabelled graph, as a tuple:
+    position i holds vertex ``canonical_permutation(rows)[i]``.  Equal
+    signatures characterize isomorphism, and the graph with these rows is
+    its own canonical form."""
     perm = canonical_permutation(rows)
-    cols = [0] * n
-    for j in range(1, n):
-        col = 0
-        rowj = rows[perm[j]]
-        for i in range(j):
-            col = (col << 1) | (rowj >> perm[i] & 1)
-        cols[j] = col
-    return _triangle_code(cols, n)
+    return tuple(sum((rows[v] >> u & 1) << i for i, u in enumerate(perm)) for v in perm)
 
 
 def connected_canonical_signatures(n):
@@ -253,12 +234,11 @@ def connected_canonical_signatures(n):
         raise ValueError("need n >= 1")
     if n > 7:
         raise ValueError("connected generation limited to 7 vertices")
-    level = {0: [0]}  # signature -> rows of one graph in the class
+    level = {(0,)}
     for k in range(1, n):
-        grown = {}
-        for rows in level.values():
-            for nbrs in range(1, 1 << k):
-                ext = [r | (nbrs >> v & 1) << k for v, r in enumerate(rows)] + [nbrs]
-                grown.setdefault(canonical_signature(ext), ext)
-        level = grown
+        level = {
+            canonical_signature([r | (nbrs >> v & 1) << k for v, r in enumerate(rows)] + [nbrs])
+            for rows in level
+            for nbrs in range(1, 1 << k)
+        }
     return sorted(level)

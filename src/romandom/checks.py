@@ -3,9 +3,9 @@
 Each check re-verifies one proven statement over an exhaustive instance
 stream (all small trees, all small connected graphs, all small unicyclic
 graphs, or a constructed family).  A check yields one result per instance;
-failures always carry a witness.  Exceptions inside a case are recorded as
-failures, never swallowed, so even solver-level invariant violations
-surface in the report.
+failures always carry a witness.  Exceptions inside a case, or while a
+check chooses its instances, are recorded as failures, never swallowed, so
+even solver-level invariant violations surface in the report.
 """
 
 from __future__ import annotations
@@ -722,6 +722,17 @@ REGISTRY: dict[str, Check] = {
 CHECK_IDS: tuple[str, ...] = tuple(REGISTRY)
 
 
+def _guarded(cases: Iterator[Case]) -> Iterator[Case]:
+    """A check's cases; if choosing the next instance raises, one last case
+    that raises the same exception, so the runner records it as a failure."""
+    try:
+        yield from cases
+    except Exception as exc:
+        def reraise(exc=exc):
+            raise exc
+        yield {"choosing_instances": True}, reraise
+
+
 def run_suite(
     suite: str = "all",
     limits: Limits = Limits(),
@@ -742,7 +753,7 @@ def run_suite(
     solvers.set_fault_injection(fault)
     try:
         for check_id in ids:
-            for instance, thunk in REGISTRY[check_id].cases(limits):
+            for instance, thunk in _guarded(REGISTRY[check_id].cases(limits)):
                 started = time.perf_counter()
                 try:
                     ok, witness = thunk()

@@ -182,27 +182,18 @@ def _g6_order(text: str) -> tuple[int, int]:
     if c0 < 63:
         return c0, 1
     # extended forms: '~' then 3 chars, or '~~' then 6 chars
-    if len(text) >= 2 and text[1] == "~":
-        chars = text[2:8]
-        if len(chars) < 6:
-            raise Graph6Error("truncated 8-byte length field")
-        n = 0
-        for ch in chars:
-            d = ord(ch) - 63
-            if d < 0 or d > 63:
-                raise Graph6Error("length character out of range 63..126")
-            n = (n << 6) | d
-        return n, 8
-    chars = text[1:4]
-    if len(chars) < 3:
-        raise Graph6Error("truncated 4-byte length field")
+    start = 2 if text[1:2] == "~" else 1
+    used = 4 * start
+    chars = text[start:used]
+    if len(chars) < used - start:
+        raise Graph6Error(f"truncated {used}-byte length field")
     n = 0
     for ch in chars:
         d = ord(ch) - 63
         if d < 0 or d > 63:
             raise Graph6Error("length character out of range 63..126")
         n = (n << 6) | d
-    return n, 4
+    return n, used
 
 
 def parse_graph6(text: str) -> Graph:
@@ -473,8 +464,8 @@ def canonical_form(g: Graph) -> bytes:
         raise LimitExceededError(
             f"canonical_form limited to order {CANONICAL_ORDER_LIMIT}, got {g.order}"
         )
-    perm = kernels.canonical_permutation(g.open_rows())
-    return write_graph6(_relabelled(g, perm)).encode("ascii")
+    rows = kernels.canonical_signature(g.open_rows())
+    return write_graph6(Graph(g.order, rows)).encode("ascii")
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

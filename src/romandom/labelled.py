@@ -16,6 +16,7 @@ other in the test suite.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -250,9 +251,9 @@ def recognize_script_t(t: Graph, limit: int = solvers.DEFAULT_EXACT_LIMIT) -> Op
 
 
 def _bfs_far(adj, alive: int, src: int):
-    """(farthest vertex with smallest id, parent map) by BFS inside alive."""
-    from collections import deque
-
+    """(farthest vertex, parent map) by BFS inside alive from src.  Of the
+    vertices at the largest distance, the one BFS reaches first is returned,
+    which need not be the one with the smallest id."""
     dist = {src: 0}
     parent = {src: None}
     queue = deque([src])

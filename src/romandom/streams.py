@@ -11,14 +11,7 @@ from typing import Callable, Iterator
 
 from . import kernels
 from .errors import Graph6Error, GraphError
-from .graphs import (
-    Graph,
-    _centroids,
-    _rooted_code,
-    build_graph,
-    canonical_form,
-    parse_graph6,
-)
+from .graphs import Graph, _centroids, _rooted_code, parse_graph6, write_graph6
 
 FREE_TREE_LIMIT = 16
 CONNECTED_GRAPH_LIMIT = 7
@@ -104,28 +97,16 @@ def free_trees(n: int) -> InstanceStream:
 # -- connected graphs ----------------------------------------------------------
 
 
-def _graph_from_signature(n: int, code: int) -> Graph:
-    edges = []
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            if code >> idx & 1:
-                edges.append((i, j))
-            idx += 1
-    return build_graph(n, edges)
-
-
 def _iter_connected(n: int) -> Iterator[Graph]:
-    decoded = [
-        _graph_from_signature(n, code)
-        for code in kernels.connected_canonical_signatures(n)
-    ]
-    decoded.sort(key=canonical_form)
-    yield from decoded
+    # A signature's graph is its own canonical form, so its graph6 line is
+    # the sort key with no further search.
+    signatures = kernels.connected_canonical_signatures(n)
+    yield from sorted((Graph(n, sig) for sig in signatures), key=write_graph6)
 
 
 def connected_graphs(n: int) -> InstanceStream:
-    """All connected graphs on n vertices up to isomorphism.
+    """All connected graphs on n vertices up to isomorphism, each the
+    canonically relabelled graph of its class, in graph6 order.
 
     The classes on n vertices are grown from those on n - 1 by adding a
     vertex joined to each nonempty subset of the old vertices; the step
@@ -142,8 +123,7 @@ def connected_graphs(n: int) -> InstanceStream:
 
 
 def _iter_unicyclic(n: int) -> Iterator[Graph]:
-    out = []
-    seen = set()
+    first = {}  # canonical signature -> the first tree plus chord in its class
     for tree in free_trees(n):
         for j in range(1, n):
             for i in range(j):
@@ -152,15 +132,11 @@ def _iter_unicyclic(n: int) -> Iterator[Graph]:
                 rows = list(tree.open_rows())
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-                g = Graph(n, rows)
-                key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append((key, g))
-    out.sort()
-    for _, g in out:
-        yield g
+                sig = kernels.canonical_signature(rows)
+                if sig not in first:
+                    first[sig] = Graph(n, rows)
+    for sig in sorted(first, key=lambda sig: write_graph6(Graph(n, sig))):
+        yield first[sig]
 
 
 def unicyclic_graphs(n: int) -> InstanceStream:

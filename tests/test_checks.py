@@ -97,3 +97,21 @@ def test_smoke_run_at_minimum_limits():
     for r in report.results:
         d = r.to_json_dict()
         assert d["check"] in REGISTRY and isinstance(d["ok"], bool)
+
+
+def test_exception_while_choosing_instances_is_recorded(monkeypatch):
+    real = checks._in_r_uvr
+
+    def planted(g):
+        if g.order == 5:
+            raise RuntimeError("planted at order 5")
+        return real(g)
+
+    monkeypatch.setattr(checks, "_in_r_uvr", planted)
+    report = run_suite("all", Limits(7, 5, 5))
+    chosen = [r for r in report.results if r.instance == {"choosing_instances": True}]
+    assert any(r.check_id == "OBS-PN3" for r in chosen)
+    for r in chosen:
+        assert not r.ok and r.witness == "RuntimeError: planted at order 5"
+    later = CHECK_IDS[CHECK_IDS.index("OBS-PN3") + 1:]
+    assert all(cid in report.per_check() for cid in later)

@@ -3,7 +3,7 @@ import random
 import networkx as nx
 import pytest
 
-from romandom import graphs
+from romandom import graphs, kernels
 from romandom.errors import Graph6Error, GraphError, LimitExceededError
 from romandom.graphs import (
     Graph,
@@ -32,6 +32,13 @@ from romandom.solvers import is_dominating
 def random_graph(rng, n, p=0.4):
     edges = [(i, j) for j in range(n) for i in range(j) if rng.random() < p]
     return build_graph(n, edges)
+
+
+def to_networkx(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.order))
+    h.add_edges_from(g.edges())
+    return h
 
 
 def test_build_graph_basic():
@@ -86,6 +93,19 @@ def test_graph6_rejects_malformed():
     # nonzero padding: order 3 needs one char with 3 used bits; 'B' + chr(63+1)
     with pytest.raises(Graph6Error):
         parse_graph6("B" + chr(63 + 1))
+
+
+def test_graph6_long_length_fields():
+    for n in (63, 100, 300):
+        line = nx.to_graph6_bytes(nx.path_graph(n), header=False).decode("ascii")
+        assert line.startswith("~")
+        assert parse_graph6(line) == graphs.path_graph(n)
+    # '~~' form: order 63 * 64^2, rejected on body length before allocation
+    with pytest.raises(Graph6Error, match="258048"):
+        parse_graph6("~~???~??")
+    for truncated in ("~", "~?", "~~??"):
+        with pytest.raises(Graph6Error):
+            parse_graph6(truncated)
 
 
 def test_private_neighbors_examples():
@@ -255,6 +275,19 @@ def test_canonical_form_invariance_under_permutation():
         perm = list(range(g.order))
         rng.shuffle(perm)
         assert canonical_form(g) == canonical_form(permute(g, perm))
+
+
+def test_canonical_signature_is_the_canonical_graph():
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 9))
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        sig = kernels.canonical_signature(g.open_rows())
+        assert kernels.canonical_signature(permute(g, perm).open_rows()) == sig
+        canon = Graph(g.order, sig)
+        assert nx.is_isomorphic(to_networkx(g), to_networkx(canon))
+        assert write_graph6(canon).encode("ascii") == canonical_form(g)
 
 
 def test_canonical_form_separates():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import networkx as nx
@@ -71,6 +72,26 @@ def test_connected_graphs_bounds():
         connected_graphs(0)
     with pytest.raises(GraphError):
         connected_graphs(8)
+
+
+def stream_pin(streams):
+    """(line count, sha256) of the graph6 lines of the streams, in order."""
+    digest, count = hashlib.sha256(), 0
+    for stream in streams:
+        for g in stream:
+            digest.update((graphs.write_graph6(g) + "\n").encode("ascii"))
+            count += 1
+    return count, digest.hexdigest()
+
+
+def test_connected_graph_stream_is_pinned():
+    assert stream_pin(connected_graphs(n) for n in range(1, 8)) == (
+        996, "29b3e5b21aabeddf041e1070cbc20a0a59de66c314967e1406e1e1f3937ff542")
+
+
+def test_unicyclic_stream_is_pinned():
+    assert stream_pin(unicyclic_graphs(n) for n in range(3, 10)) == (
+        383, "8b1264564e16c28e301351409ca4d535e2d5f9885307a26dcccf82e8c0d82499")
 
 
 def test_unicyclic_counts_match_published():
