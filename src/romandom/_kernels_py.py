@@ -27,12 +27,14 @@ hashable dedupe key, and ``Graph(n, signature)`` is the canonical graph
 itself, so nothing decodes it.
 """
 
+from .errors import GraphError, LimitExceededError
+
 _MAX_SCAN_ORDER = 24
 
 
 def _check_scan_order(n):
     if n > _MAX_SCAN_ORDER:
-        raise ValueError(f"subset scan limited to {_MAX_SCAN_ORDER} vertices, got {n}")
+        raise LimitExceededError(f"subset scan limited to {_MAX_SCAN_ORDER} vertices, got {n}")
 
 
 def _levels(rows, disjoint=False):
@@ -231,9 +233,9 @@ def connected_canonical_signatures(n):
     its vertices.
     """
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise GraphError("need n >= 1")
     if n > 7:
-        raise ValueError("connected generation limited to 7 vertices")
+        raise LimitExceededError("connected generation limited to 7 vertices")
     level = {(0,)}
     for k in range(1, n):
         level = {

@@ -211,20 +211,20 @@ def parse_graph6(text: str) -> Graph:
             f"expected {nchars} adjacency characters for order {n}, got {len(body)}"
         )
     adj = [0] * n
-    idx = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    i, j = 0, 1  # the pair the next bit describes, in (j, i) order
     for ch in body:
         d = ord(ch) - 63
         if d < 0 or d > 63:
             raise Graph6Error(f"character {ch!r} outside 63..126")
         for k in range(5, -1, -1):
             bit = (d >> k) & 1
-            if idx < nbits:
+            if j < n:
                 if bit:
-                    i, j = pairs[idx]
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
-                idx += 1
+                i += 1
+                if i == j:
+                    i, j = 0, j + 1
             elif bit:
                 raise Graph6Error("nonzero padding bits")
     return Graph(n, adj)

@@ -11,7 +11,7 @@ from typing import Callable, Iterator
 
 from . import kernels
 from .errors import Graph6Error, GraphError
-from .graphs import Graph, _centroids, _rooted_code, parse_graph6, write_graph6
+from .graphs import Graph, _parents_preorder, _rooted_code, mask_of, parse_graph6, write_graph6
 
 FREE_TREE_LIMIT = 16
 CONNECTED_GRAPH_LIMIT = 7
@@ -38,9 +38,14 @@ class InstanceStream:
 # -- free trees ----------------------------------------------------------------
 #
 # Rooted trees are produced as canonical level sequences by the classic
-# successor rule; a sequence is kept exactly when its root is a centroid
-# and (for bicentroidal trees) it is the not-smaller of the two centroid
-# rootings, so each free tree survives once.
+# successor rule.  In a level sequence the root's children sit at the 1s,
+# so the sizes of the root-child subtrees are the gaps between consecutive
+# 1s, the last gap running to n.  The root is a centroid exactly when no gap
+# exceeds n // 2; every other sequence is skipped on that test alone, before
+# any rows are built.  When n is even and one gap equals n / 2, the child
+# opening it is the second centroid, and the sequence is kept only if it is
+# not smaller than the tree's level sequence rooted there, so each free tree
+# survives once.
 
 
 def _level_sequences(n: int) -> Iterator[list[int]]:
@@ -63,28 +68,28 @@ def _level_sequences(n: int) -> Iterator[list[int]]:
             seq[i] = seq[i - d]
 
 
-def _parents(seq: list[int]) -> list[int | None]:
-    last_at = {0: 0}
-    parents: list[int | None] = [None] * len(seq)
-    for i in range(1, len(seq)):
-        parents[i] = last_at[seq[i] - 1]
-        last_at[seq[i]] = i
-    return parents
-
-
 def _iter_free_trees(n: int) -> Iterator[Graph]:
+    half = n // 2
     for seq in _level_sequences(n):
-        parents = _parents(seq)
-        cents = _centroids(parents, range(n))
-        if 0 not in cents:
-            continue
-        rows = [0] * n
-        for v in range(1, n):
-            rows[v] |= 1 << parents[v]
-            rows[parents[v]] |= 1 << v
-        if len(cents) == 2 and seq < _rooted_code(rows, cents[1]):
-            continue
-        yield Graph(n, rows)
+        # The gaps between the 1s, right to left; stop at one above n // 2.
+        end, twin = n, None
+        for i in range(n - 1, 0, -1):
+            if seq[i] == 1:
+                if end - i > half:
+                    break
+                if 2 * (end - i) == n:
+                    twin = i
+                end = i
+        else:
+            rows = [0] * n
+            last_at = [0] * n  # last_at[d]: the latest vertex at depth d
+            for v in range(1, n):
+                p = last_at[seq[v] - 1]
+                rows[v] = 1 << p
+                rows[p] |= 1 << v
+                last_at[seq[v]] = v
+            if twin is None or seq >= _rooted_code(rows, twin):
+                yield Graph(n, rows)
 
 
 def free_trees(n: int) -> InstanceStream:
@@ -122,21 +127,52 @@ def connected_graphs(n: int) -> InstanceStream:
 # -- unicyclic graphs ----------------------------------------------------------
 
 
+def _chord_keys(rows: tuple[int, ...]) -> Iterator[tuple[list[int], bytes]]:
+    """(rows, key) for the tree with bitmask rows plus each chord ij, taken
+    by j then i (i < j), where key classifies that graph up to isomorphism.
+
+    The chord closes the cycle along the tree path from j to i.  With the
+    cycle's edges removed, a rooted tree hangs at each cycle vertex; a
+    unicyclic graph is fixed up to isomorphism by the cyclic sequence of
+    those trees' level sequences, read in either direction.  So the key is
+    the least rotation or reflection of that sequence, joined into one
+    bytes string; each level sequence holds a single 0, at its start, so
+    the join loses nothing.
+    """
+    n = len(rows)
+    for j in range(1, n):
+        toward_j = _parents_preorder(rows, j)[0]
+        for i in range(j):
+            if rows[i] >> j & 1:
+                continue
+            cycle = [i]
+            while cycle[-1] != j:
+                cycle.append(toward_j[cycle[-1]])
+            on_cycle = mask_of(cycle)
+            hung = list(rows)
+            for c in cycle:
+                hung[c] &= ~on_cycle
+            codes = [bytes(_rooted_code(hung, c)) for c in cycle]
+            with_chord = list(rows)
+            with_chord[i] |= 1 << j
+            with_chord[j] |= 1 << i
+            turns = (b"".join(seq[k:] + seq[:k]) for seq in (codes, codes[::-1])
+                     for k in range(len(seq)))
+            yield with_chord, min(turns)
+
+
 def _iter_unicyclic(n: int) -> Iterator[Graph]:
-    first = {}  # canonical signature -> the first tree plus chord in its class
+    # One canonical search per class, not per candidate: it only gives the
+    # sort key, the graph6 line of the class's canonical graph.
+    first = {}  # key -> the first tree plus chord in its class
     for tree in free_trees(n):
-        for j in range(1, n):
-            for i in range(j):
-                if tree.has_edge(i, j):
-                    continue
-                rows = list(tree.open_rows())
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                sig = kernels.canonical_signature(rows)
-                if sig not in first:
-                    first[sig] = Graph(n, rows)
-    for sig in sorted(first, key=lambda sig: write_graph6(Graph(n, sig))):
-        yield first[sig]
+        for rows, key in _chord_keys(tree.open_rows()):
+            first.setdefault(key, rows)
+    classes = sorted(
+        (write_graph6(Graph(n, kernels.canonical_signature(r))), r) for r in first.values()
+    )
+    for _, rows in classes:
+        yield Graph(n, rows)
 
 
 def unicyclic_graphs(n: int) -> InstanceStream:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -106,6 +107,20 @@ def test_graph6_long_length_fields():
     for truncated in ("~", "~?", "~~??"):
         with pytest.raises(Graph6Error):
             parse_graph6(truncated)
+
+
+def test_graph6_parse_memory_is_linear_in_the_line():
+    # An order-1000 path: 83 KB of text and 499,500 vertex pairs, which the
+    # parser walks with two counters instead of tabulating.
+    line = nx.to_graph6_bytes(nx.path_graph(1000), header=False).decode("ascii").strip()
+    tracemalloc.start()
+    try:
+        g = parse_graph6(line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == graphs.path_graph(1000)
+    assert peak < 4 * 1024 * 1024, peak
 
 
 def test_private_neighbors_examples():

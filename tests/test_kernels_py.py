@@ -7,6 +7,7 @@ import pytest
 from oracles import brute_gamma_r, full_scan_kernel
 from romandom import _kernels_py as pure
 from romandom import graphs
+from romandom.errors import GraphError, LimitExceededError
 
 CLOSED_SCANS = ("min_weight_cover", "min_cover_masks", "min_dominating_size",
                 "min_dominating_masks", "efficient_dominating_masks")
@@ -66,3 +67,12 @@ def test_min_weight_cover_is_gamma_r():
 def test_scan_limit(name):
     with pytest.raises(ValueError):
         getattr(pure, name)([0] * 25)
+
+
+def test_kernel_limits_raise_typed_errors():
+    with pytest.raises(LimitExceededError):
+        pure.min_weight_cover([0] * 25)
+    with pytest.raises(LimitExceededError):
+        pure.connected_canonical_signatures(8)
+    with pytest.raises(GraphError):
+        pure.connected_canonical_signatures(0)

@@ -136,3 +136,46 @@ def test_read_graph6_stream(tmp_path):
     with pytest.raises(Graph6Error) as err:
         list(read_graph6_stream(str(bad)))
     assert "line 2" in str(err.value)
+
+
+def counted(stream, counts):
+    """The stream's graphs, noting how many there were under its order."""
+    out = list(stream)
+    counts[stream.order] = len(out)
+    return out
+
+
+def test_free_tree_stream_is_pinned():
+    counts = {}
+    assert stream_pin(counted(free_trees(n), counts) for n in range(1, 17)) == (
+        32508, "dedbff75a09e3b5158b98bcd8f4bbd5765ce3d2859556a068138c96f6319cf42")
+    assert counts == {n: FREE_TREE_COUNTS[n] for n in range(1, 17)}
+
+
+def test_unicyclic_stream_to_order_10_is_pinned():
+    counts = {}
+    assert stream_pin(counted(unicyclic_graphs(n), counts) for n in range(3, 11)) == (
+        1040, "922c6dd4d60c418f6fd30eae95f972cd845758cee1102f3a465ce8597c2a2fc0")
+    assert counts == {n: UNICYCLIC_COUNTS[n] for n in range(3, 11)}
+
+
+def test_free_trees_match_networkx():
+    # Compared as sorted lists, so a tree generated twice fails too.
+    for n in range(1, 13):
+        ours = sorted(graphs.tree_canonical_key(t) for t in free_trees(n))
+        theirs = sorted(graphs.tree_canonical_key(graphs.build_graph(n, list(t.edges())))
+                        for t in nx.nonisomorphic_trees(n))
+        assert ours == theirs, n
+
+
+def test_chord_keys_classify_like_canonical_search():
+    # Every tree plus chord to order 9: equal cheap keys exactly when the
+    # canonical search says isomorphic.
+    for n in range(3, 10):
+        key_to_sig, sig_to_key = {}, {}
+        for tree in free_trees(n):
+            for rows, key in streams._chord_keys(tree.open_rows()):
+                sig = kernels.canonical_signature(rows)
+                assert key_to_sig.setdefault(key, sig) == sig, (n, rows)
+                assert sig_to_key.setdefault(sig, key) == key, (n, rows)
+        assert len(key_to_sig) == UNICYCLIC_COUNTS[n], n
