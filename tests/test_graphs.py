@@ -109,10 +109,27 @@ def test_graph6_long_length_fields():
             parse_graph6(truncated)
 
 
+def _path_graph6(n):
+    """graph6 line of the path 0-1-...-(n-1), for 63 <= n < 258048: "~",
+    the order in three 6-bit groups, then the upper triangle column by
+    column, where edge (j - 1, j) is bit j(j - 1)/2 + j - 1."""
+    nbits = n * (n - 1) // 2
+    body = bytearray((nbits + 5) // 6)
+    for j in range(1, n):
+        k = j * (j - 1) // 2 + j - 1
+        body[k // 6] |= 32 >> k % 6
+    return "~" + "".join(chr(63 + d) for d in (n >> 12, n >> 6 & 63, n & 63, *body))
+
+
 def test_graph6_parse_memory_is_linear_in_the_line():
     # An order-1000 path: 83 KB of text and 499,500 vertex pairs, which the
-    # parser walks with two counters instead of tabulating.
-    line = nx.to_graph6_bytes(nx.path_graph(1000), header=False).decode("ascii").strip()
+    # parser walks with two counters instead of tabulating.  The line is
+    # networkx's, written here directly because networkx takes most of a
+    # second to write it.
+    for n in (63, 100, 300):
+        assert _path_graph6(n) == nx.to_graph6_bytes(
+            nx.path_graph(n), header=False).decode("ascii").strip()
+    line = _path_graph6(1000)
     tracemalloc.start()
     try:
         g = parse_graph6(line)

@@ -1,11 +1,11 @@
 """Time corpus generation in process and write ``BENCH_<short-rev>.json`` at
 the repository root.
 
-    python3 tools/bench_corpus.py [--runs 3]
+    python3 tools/bench_corpus.py
 
 The package is imported from the ``src/`` directory next to this script, so
 a copy of the script placed in another checkout measures that checkout.
-Each timing is run ``--runs`` times, round-robin, and the median is kept
+Each timing is run ``RUNS`` times, round-robin, and the median is kept
 with the samples.  The canonical-search count of the unicyclic streams is
 taken in a separate, untimed pass by wrapping
 ``romandom.kernels.canonical_signature``.
@@ -13,7 +13,6 @@ taken in a separate, untimed pass by wrapping
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -28,6 +27,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from romandom import kernels, labelled, streams  # noqa: E402
 
+RUNS = 3
 UNICYCLIC_ORDERS = range(3, 11)
 
 TIMINGS = {
@@ -47,9 +47,9 @@ def short_rev() -> str:
     return out.stdout.strip()
 
 
-def timed(runs: int) -> dict:
+def timed() -> dict:
     samples = {name: [] for name in TIMINGS}
-    for _ in range(runs):
+    for _ in range(RUNS):
         for name, work in TIMINGS.items():
             start = time.perf_counter()
             work()
@@ -77,18 +77,15 @@ def unicyclic_canonical_searches() -> int:
     return calls
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=3, help="timings per item (default 3)")
-    args = parser.parse_args(argv)
+def main() -> int:
     rev = short_rev()
     record = {
         "rev": rev,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus_usable": len(os.sched_getaffinity(0)),
-        "runs": args.runs,
-        "timings": timed(args.runs),
+        "runs": RUNS,
+        "timings": timed(),
         "unicyclic_canonical_searches": {
             "orders": [UNICYCLIC_ORDERS.start, UNICYCLIC_ORDERS.stop - 1],
             "calls": unicyclic_canonical_searches(),
