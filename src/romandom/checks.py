@@ -19,6 +19,7 @@ from typing import Callable, Iterator
 from . import classify, labelled, solvers
 from .graphs import (
     Graph,
+    bits,
     boundary,
     connected_components,
     delete_edges,
@@ -99,8 +100,9 @@ class SuiteReport:
 
 # -- cached solver wrappers ------------------------------------------------
 #
-# Sweeps revisit the same graphs from many checks; the caches are cleared
-# whenever a suite starts so fault injection cannot leak stale answers.
+# Sweeps revisit the same graphs from many checks; gamma_R, the differential
+# and their stable classes come from one deletion walk per graph and quantity.
+# Every suite clears the caches, so fault injection cannot leak stale answers.
 
 LIMIT = solvers.SWEEP_EXACT_LIMIT
 
@@ -111,13 +113,16 @@ def _gamma(g: Graph) -> int:
 
 
 @lru_cache(maxsize=None)
+def _deletions(g: Graph, quantity: str) -> classify.Deletions:
+    return classify.Deletions(g, quantity, LIMIT)
+
+
 def _gamma_r(g: Graph) -> int:
-    return solvers.roman_domination_number(g, LIMIT)
+    return _deletions(g, classify.ROMAN).base
 
 
-@lru_cache(maxsize=None)
 def _diff(g: Graph) -> int:
-    return solvers.differential_value(g, LIMIT)
+    return _deletions(g, classify.DIFFERENTIAL).base
 
 
 @lru_cache(maxsize=None)
@@ -130,17 +135,11 @@ def _min_dom(g: Graph) -> solvers.DominationSummary:
     return solvers.minimum_dominating_sets(g, LIMIT)
 
 
-@lru_cache(maxsize=None)
 def _in_r_uvr(g: Graph) -> bool:
-    return classify.in_class_r_uvr(g, LIMIT)
+    return all(_deletions(g, classify.ROMAN).unchanged())
 
 
-@lru_cache(maxsize=None)
-def _in_d_uvr(g: Graph) -> bool:
-    return classify.in_class_d_uvr(g, LIMIT)
-
-
-_SOLVER_CACHES = (_gamma, _gamma_r, _diff, _v2_sets, _min_dom, _in_r_uvr, _in_d_uvr)
+_SOLVER_CACHES = (_gamma, _deletions, _v2_sets, _min_dom)
 
 
 def clear_caches() -> None:
@@ -262,13 +261,11 @@ def _check_lem_on(limits: Limits) -> Iterator[Case]:
 def _check_lem_minus(limits: Limits) -> Iterator[Case]:
     for g in _connected_upto(limits.graphs_max_n):
         def case(g=g):
-            base = _gamma_r(g)
-            afters = classify._after_deletions(g, solvers.roman_domination_number, LIMIT)
-            for v, after in enumerate(afters):
-                drop = base - after
-                ever_one = any(
-                    not g.closed_reach(mask_of(s)) >> v & 1 for s in _v2_sets(g)
-                )
+            walk = _deletions(g, classify.ROMAN)
+            never_one = classify.never_one_mask(g, _v2_sets(g))
+            for v, after in enumerate(walk):
+                drop = walk.base - after
+                ever_one = not never_one >> v & 1
                 if (drop > 0) != ever_one:
                     return False, {"vertex": v, "drop": drop, "label1_exists": ever_one}
                 if drop > 0 and drop != 1:
@@ -449,10 +446,7 @@ def _check_prop_3v2(limits: Limits) -> Iterator[Case]:
 
 def _check_prop_02(limits: Limits) -> Iterator[Case]:
     for g in _connected_upto(limits.graphs_max_n):
-        hyp = [
-            v for v in range(g.order)
-            if all(g.closed_reach(mask_of(s)) >> v & 1 for s in _v2_sets(g))
-        ]
+        hyp = list(bits(classify.never_one_mask(g, _v2_sets(g))))
         if not hyp:
             continue
         def case(g=g, hyp=hyp):
@@ -500,7 +494,7 @@ def _check_obs_sabc(limits: Limits) -> Iterator[Case]:
 def _check_cor_unilab(limits: Limits) -> Iterator[Case]:
     for lt in _script_members(limits.trees_max_n):
         def case(lt=lt):
-            rec = labelled.recognize_script_t(lt.tree, LIMIT)
+            rec = labelled._recognize(lt.tree, _min_dom(lt.tree))
             if rec is None:
                 return False, {"recognized": False}
             ok = rec.statuses == lt.statuses
@@ -512,9 +506,9 @@ def _check_cor_unilab(limits: Limits) -> Iterator[Case]:
 def _check_obs_equi(limits: Limits) -> Iterator[Case]:
     for g in _mixed_corpus(limits):
         def case(g=g):
-            r_u, d_u = _in_r_uvr(g), _in_d_uvr(g)
-            r_c = classify.in_class_r_cvr(g, LIMIT)
-            d_c = classify.in_class_d_cvr(g, LIMIT)
+            roman, diff = _deletions(g, classify.ROMAN), _deletions(g, classify.DIFFERENTIAL)
+            r_u, d_u = all(roman.unchanged()), all(diff.unchanged())
+            r_c, d_c = not any(roman.unchanged()), not any(diff.unchanged())
             ok = r_u == d_u and r_c == d_c
             return ok, None if ok else {"r_uvr": r_u, "d_uvr": d_u,
                                         "r_cvr": r_c, "d_cvr": d_c}
@@ -547,8 +541,8 @@ def _check_thm_main(limits: Limits) -> Iterator[Case]:
                 "constructed": tree_canonical_key(t) in keys,
                 "vertex_removal_stable": _in_r_uvr(t),
                 "unique_function_shape": _criterion_unique_function(t),
-                "unique_gamma_set_shape": labelled.recognize_script_t(t, LIMIT) is not None,
-                "differential_stable": _in_d_uvr(t),
+                "unique_gamma_set_shape": labelled._recognize(t, _min_dom(t)) is not None,
+                "differential_stable": all(_deletions(t, classify.DIFFERENTIAL).unchanged()),
             }
             ok = len(set(flags.values())) == 1
             return ok, None if ok else flags

@@ -19,6 +19,8 @@ from .graphs import Graph, bits, delete_edges, delete_vertex, incident_edges, ma
 DECREASED = "decreased"
 UNCHANGED = "unchanged"
 INCREASED = "increased"
+ROMAN = "gamma_r"
+DIFFERENTIAL = "differential"
 
 DEFAULT_LIMIT = solvers.DEFAULT_EXACT_LIMIT
 
@@ -40,54 +42,64 @@ def _effect(base: int, after: int, v: int) -> str:
     return INCREASED
 
 
-def _after_deletions(g: Graph, solve, limit: int, vertices=None):
-    """solve(G - v) for each v of ``vertices`` (default: every vertex in
-    order).  Lazy, so a caller that stops early solves no further deletions."""
-    for v in range(g.order) if vertices is None else vertices:
-        smaller, _ = delete_vertex(g, v)
-        yield solve(smaller, limit)
+class Deletions:
+    """gamma_R or the differential of G - v for v = 0, 1, ...; each value is
+    solved the first time any reader reaches it, then kept.
+
+    Deleting a vertex shrinks the order by one, so on a differential-stable
+    graph the differential must land exactly one below its old value; that
+    shifted comparison is the class test (the unshifted one would contradict
+    the identity tying the differential to gamma_R and the order).
+    """
+
+    def __init__(self, g: Graph, quantity: str, limit: int = DEFAULT_LIMIT):
+        self._g, self._limit, self._values = g, limit, []
+        self._solve = {ROMAN: solvers.roman_domination_number,
+                       DIFFERENTIAL: solvers.differential_value}[quantity]
+        self.base = self._solve(g, limit)
+        self._target = self.base if quantity == ROMAN else self.base - 1
+
+    def __iter__(self):
+        # by index, so interleaved iterators over one object stay correct
+        for v in range(self._g.order):
+            if v == len(self._values):
+                self._values.append(self._solve(delete_vertex(self._g, v)[0], self._limit))
+            yield self._values[v]
+
+    def unchanged(self):
+        """Lazily, for each v in order: does G - v keep the shifted value?"""
+        return (after == self._target for after in self)
 
 
 def removal_effect(g: Graph, v: int, limit: int = DEFAULT_LIMIT) -> str:
     """Compare gamma_R(G - v) against gamma_R(G)."""
     base = solvers.roman_domination_number(g, limit)
-    (after,) = _after_deletions(g, solvers.roman_domination_number, limit, (v,))
+    after = solvers.roman_domination_number(delete_vertex(g, v)[0], limit)
     return _effect(base, after, v)
 
 
 def per_vertex_effects(g: Graph, limit: int = DEFAULT_LIMIT) -> dict[int, str]:
-    base = solvers.roman_domination_number(g, limit)
-    afters = _after_deletions(g, solvers.roman_domination_number, limit)
-    return {v: _effect(base, after, v) for v, after in enumerate(afters)}
+    walk = Deletions(g, ROMAN, limit)
+    return {v: _effect(walk.base, after, v) for v, after in enumerate(walk)}
 
 
 def in_class_r_uvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
     """gamma_R unchanged by every single-vertex deletion."""
-    base = solvers.roman_domination_number(g, limit)
-    return all(a == base for a in _after_deletions(g, solvers.roman_domination_number, limit))
+    return all(Deletions(g, ROMAN, limit).unchanged())
 
 
 def in_class_r_cvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
     """gamma_R changed by every single-vertex deletion."""
-    base = solvers.roman_domination_number(g, limit)
-    return all(a != base for a in _after_deletions(g, solvers.roman_domination_number, limit))
+    return not any(Deletions(g, ROMAN, limit).unchanged())
 
 
 def in_class_d_uvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
-    """Differential analogue of vertex-removal stability.
-
-    Deleting a vertex shrinks the order by one, so on a stable graph the
-    differential must land exactly one below its old value; that shifted
-    comparison is the class test (the unshifted one would contradict the
-    identity tying the differential to gamma_R and the order).
-    """
-    base = solvers.differential_value(g, limit)
-    return all(a == base - 1 for a in _after_deletions(g, solvers.differential_value, limit))
+    """Differential analogue of vertex-removal stability (see `Deletions`)."""
+    return all(Deletions(g, DIFFERENTIAL, limit).unchanged())
 
 
 def in_class_d_cvr(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
-    base = solvers.differential_value(g, limit)
-    return all(a != base - 1 for a in _after_deletions(g, solvers.differential_value, limit))
+    return not any(Deletions(g, DIFFERENTIAL, limit).unchanged())
 
 
 def is_roman(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
@@ -99,18 +111,20 @@ def is_urd(g: Graph, limit: int = DEFAULT_LIMIT) -> bool:
     return len(solvers.optimal_v2_sets(g, limit)) == 1
 
 
-def vertex_never_one(g: Graph, v: int, limit: int = DEFAULT_LIMIT) -> bool:
-    """True when no minimum-weight function assigns label 1 to v.
+def never_one_mask(g: Graph, v2_sets) -> int:
+    """Vertices that every optimal V2 in ``v2_sets`` covers: label 1 falls
+    exactly outside N[V2], so no minimum-weight function labels them 1."""
+    mask = g.full_mask
+    for v2 in v2_sets:
+        mask &= g.closed_reach(mask_of(v2))
+    return mask
 
-    Label 1 appears exactly on vertices outside N[V2], so this reduces to
-    checking v is covered by every optimal V2.
-    """
+
+def vertex_never_one(g: Graph, v: int, limit: int = DEFAULT_LIMIT) -> bool:
+    """True when no minimum-weight function assigns label 1 to v."""
     if not (0 <= v < g.order):
         raise GraphError(f"vertex {v} not in graph")
-    return all(
-        g.closed_reach(mask_of(v2)) >> v & 1
-        for v2 in solvers.optimal_v2_sets(g, limit)
-    )
+    return bool(never_one_mask(g, solvers.optimal_v2_sets(g, limit)) >> v & 1)
 
 
 def _path_triple_bound(g: Graph) -> int:
@@ -137,11 +151,8 @@ def _path_triple_bound(g: Graph) -> int:
 def bondage_cap(g: Graph, limit: int = DEFAULT_LIMIT) -> int:
     """Safety cap for the bondage search, from two proven upper bounds:
     the path-triple bound, and the degree of any vertex never labelled 1."""
-    cap = _path_triple_bound(g)
-    for v in range(g.order):
-        if g.degree(v) < cap and vertex_never_one(g, v, limit):
-            cap = g.degree(v)
-    return max(cap, 1)
+    never_one = never_one_mask(g, solvers.optimal_v2_sets(g, limit))
+    return max(min([_path_triple_bound(g)] + [g.degree(v) for v in bits(never_one)]), 1)
 
 
 def roman_bondage_number(
@@ -203,21 +214,22 @@ class ClassReport:
 def build_class_report(
     g: Graph, limit: int = DEFAULT_LIMIT, with_bondage: bool = True
 ) -> ClassReport:
-    effects = per_vertex_effects(g, limit)
+    roman = Deletions(g, ROMAN, limit)
+    effects = {v: _effect(roman.base, after, v) for v, after in enumerate(roman)}
     bondage = None
     if with_bondage and g.order > 0 and g.max_degree() >= 2:
         bondage = roman_bondage_number(g, limit=limit)
     gamma = solvers.domination_number(g, limit)
-    gamma_r = solvers.roman_domination_number(g, limit)
+    diff = Deletions(g, DIFFERENTIAL, limit)
     return ClassReport(
         gamma=gamma,
-        gamma_r=gamma_r,
-        differential=solvers.differential_value(g, limit),
-        is_roman=gamma_r == 2 * gamma,
-        in_r_uvr=all(e == UNCHANGED for e in effects.values()),
-        in_r_cvr=all(e != UNCHANGED for e in effects.values()),
-        in_d_uvr=in_class_d_uvr(g, limit),
-        in_d_cvr=in_class_d_cvr(g, limit),
+        gamma_r=roman.base,
+        differential=diff.base,
+        is_roman=roman.base == 2 * gamma,
+        in_r_uvr=all(roman.unchanged()),
+        in_r_cvr=not any(roman.unchanged()),
+        in_d_uvr=all(diff.unchanged()),
+        in_d_cvr=not any(diff.unchanged()),
         is_urd=is_urd(g, limit),
         bondage=bondage,
         per_vertex_effect=effects,

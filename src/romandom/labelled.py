@@ -220,7 +220,11 @@ def recognize_script_t(t: Graph, limit: int = solvers.DEFAULT_EXACT_LIMIT) -> Op
         raise GraphError("expected a tree")
     if t.order < 3:
         raise GraphError("expected order at least 3")
-    summary = solvers.minimum_dominating_sets(t, limit)
+    return _recognize(t, solvers.minimum_dominating_sets(t, limit))
+
+
+def _recognize(t: Graph, summary: solvers.DominationSummary) -> Optional[LabelledTree]:
+    """`recognize_script_t` on a checked tree, given its minimum dominating sets."""
     if not summary.unique:
         return None
     dom = summary.all_min_sets[0]

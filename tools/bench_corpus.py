@@ -1,5 +1,5 @@
-"""Time corpus generation in process and write ``BENCH_<short-rev>.json`` at
-the repository root.
+"""Time corpus generation and the default verify sweep in process and write
+``BENCH_<short-rev>.json`` at the repository root.
 
     python3 tools/bench_corpus.py
 
@@ -9,6 +9,12 @@ Each timing is run ``RUNS`` times, round-robin, and the median is kept
 with the samples.  The canonical-search count of the unicyclic streams is
 taken in a separate, untimed pass by wrapping
 ``romandom.kernels.canonical_signature``.
+
+``run_suite("all")`` at default limits is first run once, untimed, with
+every ``romandom.kernels`` function wrapped by a call counter; that run
+also fills the corpus caches.  It is then timed ``RUNS`` times without the
+counters, so its wall time covers the checks and not corpus generation,
+which the timings above cover.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from romandom import kernels, labelled, streams  # noqa: E402
+from romandom.checks import run_suite  # noqa: E402
 
 RUNS = 3
 UNICYCLIC_ORDERS = range(3, 11)
@@ -58,23 +65,47 @@ def timed() -> dict:
             for name, s in samples.items()}
 
 
-def unicyclic_canonical_searches() -> int:
-    real = kernels.canonical_signature
-    calls = 0
+def kernel_calls(work, names) -> dict:
+    """Calls of each named ``romandom.kernels`` function while ``work()`` runs."""
+    calls = dict.fromkeys(names, 0)
+    reals = {name: getattr(kernels, name) for name in names}
 
-    def counting(rows):
-        nonlocal calls
-        calls += 1
-        return real(rows)
+    def counting(name):
+        def call(*args):
+            calls[name] += 1
+            return reals[name](*args)
+        return call
 
-    kernels.canonical_signature = counting
+    for name in names:
+        setattr(kernels, name, counting(name))
     try:
+        work()
+    finally:
+        for name, real in reals.items():
+            setattr(kernels, name, real)
+    return calls
+
+
+def unicyclic_canonical_searches() -> int:
+    def work():
         for n in UNICYCLIC_ORDERS:
             for _ in streams.unicyclic_graphs(n):
                 pass
-    finally:
-        kernels.canonical_signature = real
-    return calls
+    return kernel_calls(work, ["canonical_signature"])["canonical_signature"]
+
+
+def verify_default() -> dict:
+    names = [name for name in vars(kernels) if callable(getattr(kernels, name))]
+    calls = kernel_calls(run_suite, names)
+    samples = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        report = run_suite()
+        samples.append(round(time.perf_counter() - start, 4))
+        if not report.all_passed:
+            raise RuntimeError("verify at default limits failed")
+    return {"median_s": statistics.median(samples), "samples_s": samples,
+            "instances": report.total, "kernel_calls": calls}
 
 
 def main() -> int:
@@ -90,6 +121,7 @@ def main() -> int:
             "orders": [UNICYCLIC_ORDERS.start, UNICYCLIC_ORDERS.stop - 1],
             "calls": unicyclic_canonical_searches(),
         },
+        "verify_default": verify_default(),
     }
     path = ROOT / f"BENCH_{rev}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="ascii")
