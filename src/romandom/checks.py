@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
 
-from . import classify, labelled, solvers
+from . import classify, labelled, solvers, streams
 from .graphs import (
     Graph,
     bits,
-    boundary,
     connected_components,
     delete_edges,
     delete_vertices,
@@ -36,7 +35,6 @@ from .graphs import (
     two_cliques_bridge,
     write_graph6,
 )
-from .streams import connected_graphs, free_trees, unicyclic_graphs
 
 
 @dataclass(frozen=True)
@@ -46,12 +44,12 @@ class Limits:
     unicyclic_n: int = 8
 
     def validate(self) -> None:
-        if not 3 <= self.trees_max_n <= 16:
-            raise ValueError("trees_max_n must be in 3..16")
-        if not 1 <= self.graphs_max_n <= 7:
-            raise ValueError("graphs_max_n must be in 1..7")
-        if not 3 <= self.unicyclic_n <= 10:
-            raise ValueError("unicyclic_n must be in 3..10")
+        if not 3 <= self.trees_max_n <= streams.FREE_TREE_LIMIT:
+            raise ValueError(f"trees_max_n must be in 3..{streams.FREE_TREE_LIMIT}")
+        if not 1 <= self.graphs_max_n <= streams.CONNECTED_GRAPH_LIMIT:
+            raise ValueError(f"graphs_max_n must be in 1..{streams.CONNECTED_GRAPH_LIMIT}")
+        if not 3 <= self.unicyclic_n <= streams.UNICYCLIC_LIMIT:
+            raise ValueError(f"unicyclic_n must be in 3..{streams.UNICYCLIC_LIMIT}")
 
 
 @dataclass
@@ -147,29 +145,31 @@ def clear_caches() -> None:
         cache.cache_clear()
 
 
-# Corpus caches are solver-independent and safe to keep across runs.
+# Corpus caches are solver-independent and safe to keep across runs.  Each
+# order is generated once; the ranges join the cached orders.
 
 
 @lru_cache(maxsize=None)
+def _connected_at(n: int) -> tuple[Graph, ...]:
+    return tuple(streams.connected_graphs(n))
+
+
+@lru_cache(maxsize=None)
+def _trees_at(n: int) -> tuple[Graph, ...]:
+    return tuple(streams.free_trees(n))
+
+
 def _connected_upto(maxn: int) -> tuple[Graph, ...]:
-    out: list[Graph] = []
-    for n in range(1, maxn + 1):
-        out.extend(connected_graphs(n))
-    return tuple(out)
+    return tuple(itertools.chain.from_iterable(map(_connected_at, range(1, maxn + 1))))
 
 
-@lru_cache(maxsize=None)
 def _trees_range(lo: int, hi: int) -> tuple[Graph, ...]:
-    out: list[Graph] = []
-    for n in range(lo, hi + 1):
-        if n >= 1:
-            out.extend(free_trees(n))
-    return tuple(out)
+    return tuple(itertools.chain.from_iterable(map(_trees_at, range(lo, hi + 1))))
 
 
 @lru_cache(maxsize=None)
 def _unicyclic_at(n: int) -> tuple[Graph, ...]:
-    return tuple(unicyclic_graphs(n))
+    return tuple(streams.unicyclic_graphs(n))
 
 
 @lru_cache(maxsize=None)
@@ -194,29 +194,28 @@ def _label(g: Graph, **extra) -> dict:
 #    lean on the very reduction it is meant to validate) ----------------------
 
 
-def _brute_optimal_functions(g: Graph) -> list[tuple[frozenset, frozenset, frozenset]]:
-    """All minimum-weight functions by trying all 3^n labelings."""
-    n = g.order
+def _brute_optimal_functions(g: Graph) -> list[tuple[int, int]]:
+    """All minimum-weight functions as (V2, V1) mask pairs, by trying all
+    3^n labelings: V2 is any subset, V1 any subset of the rest, and every
+    vertex left at 0 needs a neighbor in V2."""
+    full = g.full_mask
     best = None
-    out: list[tuple[frozenset, frozenset, frozenset]] = []
-    for labels in itertools.product((0, 1, 2), repeat=n):
-        twos = mask_of(v for v in range(n) if labels[v] == 2)
-        ok = all(
-            g.adjacency_mask(v) & twos for v in range(n) if labels[v] == 0
-        )
-        if not ok:
-            continue
-        weight = sum(labels)
-        if best is None or weight < best:
-            best = weight
-            out = []
-        if weight == best:
-            out.append(
-                tuple(
-                    frozenset(v for v in range(n) if labels[v] == i)
-                    for i in (0, 1, 2)
-                )
-            )
+    out: list[tuple[int, int]] = []
+    for v2 in range(full + 1):
+        covered = g.closed_reach(v2)
+        rest = full & ~v2
+        v1 = rest
+        while True:
+            if not rest & ~v1 & ~covered:
+                weight = 2 * v2.bit_count() + v1.bit_count()
+                if best is None or weight < best:
+                    best = weight
+                    out = []
+                if weight == best:
+                    out.append((v2, v1))
+            if not v1:
+                break
+            v1 = (v1 - 1) & rest
     return out
 
 
@@ -240,20 +239,12 @@ def _check_eq1(limits: Limits) -> Iterator[Case]:
 def _check_lem_on(limits: Limits) -> Iterator[Case]:
     for g in _connected_upto(limits.graphs_max_n):
         def case(g=g):
-            if g.order <= 6:
-                functions = _brute_optimal_functions(g)
-            else:
-                functions = [
-                    (f.v0, f.v1, f.v2) for f in solvers.gamma_r_functions(g, LIMIT)
-                ]
-            for v0, v1, v2 in functions:
-                v2mask = mask_of(v2)
-                v1mask = mask_of(v1)
-                for v in v1:
-                    if g.adjacency_mask(v) & v2mask:
+            for v2, v1 in _brute_optimal_functions(g):
+                for v in bits(v1):
+                    if g.adjacency_mask(v) & v2:
                         return False, {"edge_between_v1_v2_at": v}
-                    if (g.adjacency_mask(v) & v1mask).bit_count() > 1:
-                        return False, {"v1_component_too_big_at": v, "v1": sorted(v1)}
+                    if (g.adjacency_mask(v) & v1).bit_count() > 1:
+                        return False, {"v1_component_too_big_at": v, "v1": list(bits(v1))}
             return True, None
         yield _label(g), case
 
@@ -348,9 +339,10 @@ def _check_thm_diff_ii(limits: Limits) -> Iterator[Case]:
                     "optimal_v2_only": [sorted(s) for s in v2s - dsets],
                     "differential_only": [sorted(s) for s in dsets - v2s],
                 }
-            for f in solvers.gamma_r_functions(g, LIMIT):
-                if f.v0 != boundary(g, f.v2):
-                    return False, {"v2": sorted(f.v2), "v0": sorted(f.v0)}
+            for v2, v1 in _brute_optimal_functions(g):
+                v0 = g.full_mask & ~v2 & ~v1
+                if v0 != g.closed_reach(v2) & ~v2:
+                    return False, {"v2": list(bits(v2)), "v0": list(bits(v0))}
             return True, None
         yield _label(g), case
 
@@ -425,17 +417,14 @@ def _check_prop_3v2(limits: Limits) -> Iterator[Case]:
             if 3 * gr > 2 * n:
                 return False, {"gamma_r": gr, "order": n}
             equality = 3 * gr == 2 * n
+            eds = solvers.efficient_dominating_sets(g, LIMIT)
             if equality:
-                eds = set(solvers.efficient_dominating_sets(g, LIMIT))
                 for v2 in _v2_sets(g):
                     if v2 not in eds:
                         return False, {"v2_not_efficient": sorted(v2)}
                     if any(g.degree(v) != 2 for v in v2):
                         return False, {"v2_with_wrong_degree": sorted(v2)}
-            degree2_eds = any(
-                all(g.degree(v) == 2 for v in d)
-                for d in solvers.efficient_dominating_sets(g, LIMIT)
-            )
+            degree2_eds = any(all(g.degree(v) == 2 for v in d) for d in eds)
             if degree2_eds and not equality:
                 return False, {"degree2_eds_without_equality": True}
             if g.min_degree() >= 3 and 3 * gr >= 2 * n:
@@ -553,7 +542,7 @@ def _check_cor_sb(limits: Limits) -> Iterator[Case]:
     for lt in _script_members(limits.trees_max_n):
         def case(lt=lt):
             expected = labelled.canonical_gamma_r_function(lt)
-            fns = solvers.gamma_r_functions(lt.tree, LIMIT)
+            fns = [solvers.function_from_v2(lt.tree, v2) for v2 in _v2_sets(lt.tree)]
             ok = fns == [expected]
             return ok, None if ok else {"function_count": len(fns)}
         yield _label(lt.tree, statuses="".join(lt.statuses)), case

@@ -10,7 +10,7 @@ definitions; their agreement is a theorem the harness re-checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import solvers
 from .errors import BondageCapError, GraphError, InvariantViolationError
@@ -196,19 +196,9 @@ class ClassReport:
     per_vertex_effect: dict[int, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "gamma_r": self.gamma_r,
-            "differential": self.differential,
-            "is_roman": self.is_roman,
-            "in_r_uvr": self.in_r_uvr,
-            "in_r_cvr": self.in_r_cvr,
-            "in_d_uvr": self.in_d_uvr,
-            "in_d_cvr": self.in_d_cvr,
-            "is_urd": self.is_urd,
-            "bondage": self.bondage,
-            "per_vertex_effect": {str(v): e for v, e in sorted(self.per_vertex_effect.items())},
-        }
+        out = asdict(self)
+        out["per_vertex_effect"] = {str(v): e for v, e in sorted(self.per_vertex_effect.items())}
+        return out
 
 
 def build_class_report(

@@ -35,14 +35,12 @@ class Graph:
                 raise GraphError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise GraphError(f"adjacency row {v} mentions out-of-range vertices")
-        for v, row in enumerate(adj_masks):
-            m = row
-            while m:
-                low = m & -m
+            while row:
+                low = row & -row
                 u = low.bit_length() - 1
                 if not adj_masks[u] >> v & 1:
                     raise GraphError(f"adjacency not symmetric at ({v}, {u})")
-                m ^= low
+                row ^= low
         self.order = order
         self._adj = tuple(adj_masks)
         self._hash = hash((order, self._adj))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from romandom import checks, kernels
+from romandom import checks, kernels, streams
 from romandom.checks import Limits, run_suite
 from romandom.solvers import FAULT_GAMMA_R_PLUS_ONE
 
@@ -44,3 +44,31 @@ def test_a_faulty_run_leaves_no_cached_answer(check_id):
     checks._deletions.cache_clear()
     assert run_suite(check_id, SMALL, fault=FAULT_GAMMA_R_PLUS_ONE).total > 0
     assert run_suite("all", SMALL).all_passed
+
+
+def test_the_sweep_reads_cached_v2_sets_and_enumerates_efficient_sets_once(monkeypatch):
+    # COR-SB reads the cached optimal V2 sets and PROP-3V2 enumerates the
+    # efficient dominating sets once per graph; the sweep made 195 and 17
+    # calls when each re-enumerated them.
+    bounds = {"min_cover_masks": 124, "efficient_dominating_masks": 12}
+    calls = Counter()
+    for name in bounds:
+        def counting(rows, name=name, real=getattr(kernels, name)):
+            calls[name] += 1
+            return real(rows)
+        monkeypatch.setattr(kernels, name, counting)
+    assert run_suite("all", SMALL).all_passed
+    assert {name: calls[name] for name in bounds if calls[name] > bounds[name]} == {}
+
+
+def test_each_corpus_order_is_generated_once(monkeypatch):
+    made = Counter()
+    for name in ("free_trees", "connected_graphs"):
+        def counting(n, name=name, real=getattr(streams, name)):
+            made[name, n] += 1
+            return real(n)
+        monkeypatch.setattr(streams, name, counting)
+    checks._trees_at.cache_clear()
+    checks._connected_at.cache_clear()
+    assert run_suite("all", SMALL).all_passed
+    assert made and set(made.values()) == {1}

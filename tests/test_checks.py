@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
+from oracles import brute_gamma_r_functions
 
 from romandom import checks
 from romandom.checks import CHECK_IDS, REGISTRY, Limits, run_suite
+from romandom.graphs import bits, build_graph, edgeless_graph, is_connected, write_graph6
 
 EXPECTED_IDS = {
     "EQ1", "LEM-ON", "LEM-MINUS", "LEM-MINUSE", "THM-R", "THM-UN",
@@ -115,3 +118,27 @@ def test_exception_while_choosing_instances_is_recorded(monkeypatch):
         assert not r.ok and r.witness == "RuntimeError: planted at order 5"
     later = CHECK_IDS[CHECK_IDS.index("OBS-PN3") + 1:]
     assert all(cid in report.per_check() for cid in later)
+
+
+def test_brute_optimal_functions_match_the_labeling_oracle():
+    rng = random.Random(12)
+    corpus = [edgeless_graph(0), edgeless_graph(1)]
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        p = rng.choice((0.2, 0.4, 0.7))
+        corpus.append(build_graph(n, [(i, j) for j in range(n) for i in range(j)
+                                      if rng.random() < p]))
+    assert any(not is_connected(g) for g in corpus if g.order > 1)
+    for g in corpus:
+        pairs = checks._brute_optimal_functions(g)
+        got = {(frozenset(bits(g.full_mask & ~v2 & ~v1)), frozenset(bits(v1)),
+                frozenset(bits(v2))) for v2, v1 in pairs}
+        assert len(got) == len(pairs)
+        assert got == brute_gamma_r_functions(g), write_graph6(g)
+
+
+@pytest.mark.parametrize("check_id", ["LEM-ON", "THM-DIFF-II"])
+def test_function_checks_pass_at_order_seven(check_id):
+    report = run_suite(check_id, Limits(3, 7, 3))
+    assert any(r.instance["graph6"].startswith("F") for r in report.results)
+    assert report.all_passed, [(r.instance, r.witness) for r in report.failures]

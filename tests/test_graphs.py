@@ -369,3 +369,19 @@ def test_tree_canonical_key():
     f1 = disjoint_union(graphs.path_graph(2), graphs.path_graph(3))
     f2 = disjoint_union(graphs.path_graph(3), graphs.path_graph(2))
     assert forest_canonical_key(f1) == forest_canonical_key(f2)
+
+
+@pytest.mark.parametrize(
+    "order, rows, message",
+    [(-1, [], "nonnegative"),
+     (2, [0b10], "match order"),
+     (2, [0b01, 0b00], "self-loop at vertex 0"),
+     (2, [0b110, 0b001], "row 0 mentions out-of-range"),
+     (2, [0b10, -3], "row 1 mentions out-of-range"),
+     (3, [0b010, 0b000, 0b000], r"not symmetric at \(0, 1\)")],
+    ids=["negative-order", "row-count", "self-loop", "out-of-range", "negative-row",
+         "asymmetric"],
+)
+def test_graph_rejects_invalid_rows(order, rows, message):
+    with pytest.raises(GraphError, match=message):
+        Graph(order, rows)
