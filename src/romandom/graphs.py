@@ -265,7 +265,7 @@ def private_neighbors(g: Graph, x: int, members: Iterable[int]) -> frozenset[int
         raise GraphError(f"vertex {x} is not in the given set")
     want = 1 << x
     return frozenset(
-        y for y in range(g.order) if g.closed_mask(y) & xmask == want
+        y for y in bits(g.closed_mask(x)) if g.closed_mask(y) & xmask == want
     )
 
 

@@ -4,10 +4,11 @@ growth operations, its recognition, and its canonical optimal function.
 A labelling assigns each vertex one of the statuses A, B, C.  The family
 is the closure of the labelled 3-vertex star (leaves A, center B) under
 operations O1-O4.  The table ``_OPERATIONS`` is the single definition of
-the operations (attach-vertex statuses, gadget statuses and shape); the
-apply functions, the replay, the generator and the decomposition all read
-it.  Membership of an arbitrary tree can be decided two independent ways:
-a solver-backed criterion on the unique minimum dominating set, and a
+the operations (attach-vertex statuses, gadget statuses and shape), and
+``_grow`` the one in-place step that applies a row of it; the apply
+functions, the replay, the generator and the decomposition all use them.
+Membership of an arbitrary tree can be decided two independent ways: a
+solver-backed criterion on the unique minimum dominating set, and a
 structural peeling that reconstructs an explicit build script.  The peel
 is a loop with no recursion and no order cap.  The verify checks use only
 the solver-backed recognizer; the two are cross-checked against each
@@ -16,7 +17,6 @@ other in the test suite.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,6 +24,7 @@ from . import solvers
 from .errors import GraphError, OperationError
 from .graphs import (
     Graph,
+    _parents_preorder,
     bits,
     build_graph,
     is_tree,
@@ -110,22 +111,30 @@ _OPERATIONS = {
 }
 
 
-def _apply(lt: LabelledTree, op: str, u: int) -> LabelledTree:
+def _grow(rows: list[int], statuses: list[str], op: str, u: int) -> None:
+    """Apply ``op`` at ``u``, in place, to a tree held as open rows and a
+    status list."""
     allowed, word, edges, joined = _OPERATIONS[op]
-    n = lt.order
+    n = len(rows)
     if not 0 <= u < n:
         raise OperationError(f"{op} needs a vertex of the tree, got {u}")
-    if lt.status(u) not in allowed:
+    if statuses[u] not in allowed:
         raise OperationError(
-            f"{op} needs status {' or '.join(allowed)} at vertex {u}, found {lt.status(u)}"
+            f"{op} needs status {' or '.join(allowed)} at vertex {u}, found {statuses[u]}"
         )
-    rows = list(lt.tree.open_rows()) + [0] * len(word)
+    rows.extend([0] * len(word))
+    statuses.extend(word)
     for a, b in edges:
         rows[n + a] |= 1 << n + b
         rows[n + b] |= 1 << n + a
     rows[u] |= 1 << n + joined
     rows[n + joined] |= 1 << u
-    return LabelledTree(Graph(n + len(word), rows), lt.statuses + tuple(word))
+
+
+def _apply(lt: LabelledTree, op: str, u: int) -> LabelledTree:
+    rows, statuses = list(lt.tree.open_rows()), list(lt.statuses)
+    _grow(rows, statuses, op, u)
+    return LabelledTree(Graph(len(rows), rows), tuple(statuses))
 
 
 def apply_o1(lt: LabelledTree, u: int) -> LabelledTree:
@@ -171,10 +180,11 @@ def labelled_r() -> LabelledTree:
 
 def replay_script(script) -> LabelledTree:
     """Rebuild a labelled tree from a list of (operation, attach vertex)."""
-    lt = base_k12()
+    base = base_k12()
+    rows, statuses = list(base.tree.open_rows()), list(base.statuses)
     for op, u in script:
-        lt = _apply(lt, op, u)
-    return lt
+        _grow(rows, statuses, op, u)
+    return LabelledTree(Graph(len(rows), rows), tuple(statuses))
 
 
 def generate_script_t(max_order: int) -> list[LabelledTree]:
@@ -223,17 +233,24 @@ def recognize_script_t(t: Graph, limit: int = solvers.DEFAULT_EXACT_LIMIT) -> Op
     return _recognize(t, solvers.minimum_dominating_sets(t, limit))
 
 
+def _b_set_shape(t: Graph, dom) -> bool:
+    """Whether ``dom`` is independent in ``t`` and each member has exactly
+    three private neighbors: the shape of a member's B-set."""
+    dmask = mask_of(dom)
+    return all(
+        not t.adjacency_mask(v) & dmask and len(private_neighbors(t, v, dom)) == 3
+        for v in dom
+    )
+
+
 def _recognize(t: Graph, summary: solvers.DominationSummary) -> Optional[LabelledTree]:
     """`recognize_script_t` on a checked tree, given its minimum dominating sets."""
     if not summary.unique:
         return None
     dom = summary.all_min_sets[0]
+    if not _b_set_shape(t, dom):
+        return None
     dmask = mask_of(dom)
-    for v in dom:
-        if t.adjacency_mask(v) & dmask:
-            return None  # not independent
-        if len(private_neighbors(t, v, dom)) != 3:
-            return None
     statuses = []
     for v in range(t.order):
         if v in dom:
@@ -247,55 +264,28 @@ def _recognize(t: Graph, summary: solvers.DominationSummary) -> Optional[Labelle
 
 # -- structural decomposition --------------------------------------------------
 #
-# Peels one gadget at a time from the deep end of a diametral path, mirroring
-# how the family is built, down to the 3-vertex base.  Works on the original
-# vertex ids through an "alive" bitmask.  The peels are then replayed in
-# reverse through the operation table, carrying an original-id -> rebuilt-id
-# map; the replay enforces the status preconditions.
+# Roots the tree once at vertex 0 and peels one gadget at a time from a
+# deepest alive leaf, mirroring how the family is built, down to the 3-vertex
+# base.  Peeling never changes the depth of what is left, so visiting the
+# vertices once, deepest first, always finds a deepest alive leaf.  Works on
+# the original vertex ids through an "alive" bitmask.  The peels are then
+# replayed in reverse through the operation table, carrying an original-id ->
+# rebuilt-id map; the replay enforces the status preconditions.
 
 
-def _bfs_far(adj, alive: int, src: int):
-    """(farthest vertex, parent map) by BFS inside alive from src.  Of the
-    vertices at the largest distance, the one BFS reaches first is returned,
-    which need not be the one with the smallest id."""
-    dist = {src: 0}
-    parent = {src: None}
-    queue = deque([src])
-    far, fdist = src, 0
-    while queue:
-        v = queue.popleft()
-        for u in bits(adj[v] & alive):
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                parent[u] = v
-                queue.append(u)
-                if dist[u] > fdist:
-                    far, fdist = u, dist[u]
-    return far, parent
+def _next_peel(adj, alive: int, xm: int, parent):
+    """The gadget at ``xm``, a deepest leaf of the tree ``alive`` under the
+    rooting ``parent``, or None when no operation can have put it there.
 
-
-def _diametral_path(adj, alive: int) -> list[int]:
-    start = next(bits(alive))
-    a, _ = _bfs_far(adj, alive, start)
-    b, parent = _bfs_far(adj, alive, a)
-    path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _next_peel(adj, alive: int):
-    """The gadget at the deep end of a diametral path of the tree ``alive``,
-    or None when no operation can have put it there.
-
-    Returns a list of alternatives, each a list of (op, attach vertex, gadget
-    vertices in local order); every alternative removes the same vertices.
+    The parent of ``xm`` has only leaf children, and the other children of
+    its grandparent have height at most 1.  Returns a list of alternatives,
+    each a list of (op, attach vertex, gadget vertices in local order); every
+    alternative removes the same vertices.
     """
-    path = _diametral_path(adj, alive)
-    if len(path) <= 4:
-        return None  # stars and diameter-3 trees have no members this large
-    xm, xm1, xm2 = path[-1], path[-2], path[-3]
+    xm1 = parent[xm]
+    xm2 = parent[xm1]
+    if xm2 is None or not alive >> xm2 & 1:
+        return None  # a star: no members this large
 
     def deg(v):
         return (adj[v] & alive).bit_count()
@@ -344,9 +334,15 @@ def decompose_script_t(t: Graph) -> Optional[list[tuple[str, int]]]:
     if t.order < 3:
         raise GraphError("expected order at least 3")
     adj, alive = t.open_rows(), t.full_mask
+    parent, preorder = _parents_preorder(adj, 0)
+    depth = [0] * t.order
+    for v in preorder[1:]:
+        depth[v] = depth[parent[v]] + 1
     peels = []
-    while alive.bit_count() > 5:
-        alternatives = _next_peel(adj, alive)
+    for xm in sorted(preorder, key=depth.__getitem__, reverse=True):
+        if not alive >> xm & 1 or alive.bit_count() <= 5:
+            continue
+        alternatives = _next_peel(adj, alive, xm, parent)
         if alternatives is None:
             return None
         peels.append(alternatives)
@@ -357,25 +353,25 @@ def decompose_script_t(t: Graph) -> Optional[list[tuple[str, int]]]:
     center = next(v for v in bits(alive) if (adj[v] & alive).bit_count() == 2)
     low, high = bits(alive & ~(1 << center))
     mapping = {low: 0, center: 1, high: 2}
-    lt, script = base_k12(), []
+    base = base_k12()
+    rows, statuses = list(base.tree.open_rows()), list(base.statuses)
+    script = []
     for alternatives in reversed(peels):
         for steps in alternatives:
             op, u, _ = steps[0]
-            if lt.status(mapping[u]) in _OPERATIONS[op][0]:
+            if statuses[mapping[u]] in _OPERATIONS[op][0]:
                 break
         else:
             return None
         for op, u, gadget in steps:
             script.append((op, mapping[u]))
-            mapping.update(zip(gadget, range(lt.order, lt.order + len(gadget))))
-            lt = _apply(lt, op, mapping[u])
-    # the peel tracked ids exactly, so the rebuilt edges must match 1:1
-    rebuilt = {(min(a, b), max(a, b)) for a, b in lt.tree.edges()}
-    original = {
-        (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
-        for a, b in t.edges()
-    }
-    if rebuilt != original:
+            mapping.update(zip(gadget, range(len(rows), len(rows) + len(gadget))))
+            _grow(rows, statuses, op, mapping[u])
+    # the peel tracked ids exactly, so the rebuilt rows must match 1:1
+    relabelled = [0] * t.order
+    for v, row in enumerate(adj):
+        relabelled[mapping[v]] = mask_of(mapping[u] for u in bits(row))
+    if relabelled != rows:
         raise GraphError("internal error: peel produced a non-matching script")
     return script
 

@@ -1,4 +1,5 @@
-"""Time corpus generation and the default verify sweep in process and write
+"""Time corpus generation, the structural decomposition of a 3,603-vertex
+path and the default verify sweep in process and write
 ``BENCH_<short-rev>.json`` at the repository root.
 
     python3 tools/bench_corpus.py
@@ -31,7 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from romandom import kernels, labelled, streams  # noqa: E402
+from romandom import graphs, kernels, labelled, streams  # noqa: E402
 from romandom.checks import run_suite  # noqa: E402
 
 RUNS = 3
@@ -45,6 +46,7 @@ TIMINGS = {
     "unicyclic_graphs_10": lambda: list(streams.unicyclic_graphs(10)),
     "connected_graphs_1_6": lambda: [list(streams.connected_graphs(n)) for n in range(1, 7)],
     "generate_script_t_16": lambda: labelled.generate_script_t(16),
+    "decompose_path_3603": lambda: labelled.decompose_script_t(graphs.path_graph(3603)),
 }
 
 
