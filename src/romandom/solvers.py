@@ -65,13 +65,6 @@ class RomanFunction:
     def weight(self) -> int:
         return len(self.v1) + 2 * len(self.v2)
 
-    def label(self, v: int) -> int:
-        if v in self.v2:
-            return 2
-        if v in self.v1:
-            return 1
-        return 0
-
 
 @dataclass(frozen=True)
 class DominationSummary:

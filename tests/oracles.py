@@ -147,7 +147,7 @@ def full_scan_kernel(name, rows):
         best, masks = full_scan(rows, lambda m, u: 2 * m.bit_count() + (full & ~u).bit_count())
     elif name in ("min_dominating_size", "min_dominating_masks"):
         best, masks = full_scan(rows, lambda m, u: m.bit_count() if u == full else None)
-        best = n if best is None else best  # both backends' value when no S covers
+        best = n if best is None else best  # the kernel's value when no S covers
     elif name in ("max_differential", "max_differential_masks"):
         best, masks = full_scan(rows, lambda m, u: m.bit_count() - (u & ~m).bit_count())
         best = -best

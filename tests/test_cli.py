@@ -28,6 +28,36 @@ def test_compute_bondage_rejects_low_degree(capsys, tmp_path):
     assert "degree" in err
 
 
+# P3, C6, K4, three isolated vertices, C5
+SMALL_GRAPHS = [graphs.path_graph(3), graphs.cycle_graph(6), graphs.complete_graph(4),
+                graphs.edgeless_graph(3), graphs.cycle_graph(5)]
+
+
+@pytest.mark.parametrize("what, key, expected", [
+    ("differential", "differential", [1, 2, 2, 0, 1]),
+    ("eds", "efficient_dominating_sets",
+     [[[1]], [[0, 3], [1, 4], [2, 5]], [[0], [1], [2], [3]], [[0, 1, 2]], []]),
+])
+def test_compute_differential_and_efficient_sets(capsys, tmp_path, what, key, expected):
+    path = tmp_path / "in.g6"
+    path.write_text("".join(graphs.write_graph6(g) + "\n" for g in SMALL_GRAPHS),
+                    encoding="ascii")
+    code, out, _ = run_cli(capsys, "compute", what, str(path))
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r["order"] for r in records] == [g.order for g in SMALL_GRAPHS]
+    assert [r[key] for r in records] == expected
+
+
+def test_compute_bondage_names_the_low_degree_line(capsys, tmp_path):
+    path = tmp_path / "in.g6"
+    path.write_text("Bg\nBw\nA_\n", encoding="ascii")  # P3, K3, single edge
+    code, out, err = run_cli(capsys, "compute", "bondage", str(path))
+    assert code == 2
+    assert [json.loads(line)["bondage"] for line in out.splitlines()] == [1, 2]
+    assert err == "error: line 3: bondage needs maximum degree at least 2\n"
+
+
 def test_classify_known_graphs(capsys, tmp_path):
     path = tmp_path / "in.g6"
     path.write_text(
@@ -118,6 +148,31 @@ def test_verify_table_mode(capsys):
     )
     assert code == 0
     assert "EQ1" in out and "all passed" in out
+
+
+def test_verify_timings_only_add_seconds(capsys):
+    argv = ["verify", "--suite", "EQ1", "--graphs-max-n", "4"]
+    code, plain, _ = run_cli(capsys, *argv)
+    timed_code, timed, _ = run_cli(capsys, *argv, "--timings")
+    assert code == timed_code == 0
+    plain, timed = plain.splitlines(), timed.splitlines()
+    assert len(plain) == len(timed) == 11 and plain[-1] == timed[-1]
+    for line, timed_line in zip(plain[:-1], timed[:-1]):
+        record = json.loads(timed_line)
+        assert record.pop("seconds") >= 0
+        assert record == json.loads(line)
+
+
+def test_verify_table_lists_injected_failures(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "THM-DIFF-I", "--graphs-max-n", "4",
+        "--trees-max-n", "5", "--table", "--inject-fault", "gamma-r-plus-one",
+    )
+    assert code == 1
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL THM-DIFF-I ")]
+    assert fails and len(fails) == len(lines) - 2
+    assert lines[1].endswith(f"{len(fails)} FAILED")
 
 
 def test_verify_rejects_unknown_suite(capsys):

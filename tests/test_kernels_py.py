@@ -5,13 +5,15 @@ import random
 import pytest
 
 from oracles import brute_gamma_r, full_scan_kernel
-from romandom import _kernels_py as pure
+from romandom import kernels as pure
 from romandom import graphs
 from romandom.errors import GraphError, LimitExceededError
 
 CLOSED_SCANS = ("min_weight_cover", "min_cover_masks", "min_dominating_size",
                 "min_dominating_masks", "efficient_dominating_masks")
 OPEN_SCANS = ("max_differential", "max_differential_masks")
+CANON_FUNCTIONS = ("canonical_permutation", "canonical_signature",
+                   "connected_canonical_signatures")
 
 
 def random_rows(rng, n, p):
@@ -76,3 +78,8 @@ def test_kernel_limits_raise_typed_errors():
         pure.connected_canonical_signatures(8)
     with pytest.raises(GraphError):
         pure.connected_canonical_signatures(0)
+
+
+def test_every_entry_point_is_defined_in_the_kernel_module():
+    for name in CLOSED_SCANS + OPEN_SCANS + CANON_FUNCTIONS:
+        assert getattr(pure, name).__module__ == "romandom.kernels", name

@@ -1,6 +1,7 @@
 """Time corpus generation, the structural decomposition of a 3,603-vertex
-path and the default verify sweep in process and write
-``BENCH_<short-rev>.json`` at the repository root.
+path and the default verify sweep in process, and the Tier-1 test suite in
+a child process, and write ``BENCH_<short-rev>.json`` at the repository
+root.
 
     python3 tools/bench_corpus.py
 
@@ -12,10 +13,15 @@ taken in a separate, untimed pass by wrapping
 ``romandom.kernels.canonical_signature``.
 
 ``run_suite("all")`` at default limits is first run once, untimed, with
-every ``romandom.kernels`` function wrapped by a call counter; that run
-also fills the corpus caches.  It is then timed ``RUNS`` times without the
-counters, so its wall time covers the checks and not corpus generation,
-which the timings above cover.
+each kernel entry point wrapped by a call counter; that run also fills the
+corpus caches.  It is then timed ``RUNS`` times without the counters, so
+its wall time covers the checks and not corpus generation, which the
+timings above cover.  A wrapped entry point also counts the calls other
+kernels make to it: ``canonical_signature`` calls ``canonical_permutation``.
+
+The Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
+with ``PYTHONPATH=src``) is run ``RUNS`` times last, each in a fresh
+interpreter, and its wall time is kept as the median.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -37,6 +44,11 @@ from romandom.checks import run_suite  # noqa: E402
 
 RUNS = 3
 UNICYCLIC_ORDERS = range(3, 11)
+KERNEL_ENTRY_POINTS = (
+    "min_weight_cover", "min_cover_masks", "min_dominating_size", "min_dominating_masks",
+    "max_differential", "max_differential_masks", "efficient_dominating_masks",
+    "canonical_permutation", "canonical_signature", "connected_canonical_signatures",
+)
 
 TIMINGS = {
     "free_trees_14": lambda: list(streams.free_trees(14)),
@@ -97,8 +109,7 @@ def unicyclic_canonical_searches() -> int:
 
 
 def verify_default() -> dict:
-    names = [name for name in vars(kernels) if callable(getattr(kernels, name))]
-    calls = kernel_calls(run_suite, names)
+    calls = kernel_calls(run_suite, KERNEL_ENTRY_POINTS)
     samples = []
     for _ in range(RUNS):
         start = time.perf_counter()
@@ -108,6 +119,20 @@ def verify_default() -> dict:
             raise RuntimeError("verify at default limits failed")
     return {"median_s": statistics.median(samples), "samples_s": samples,
             "instances": report.total, "kernel_calls": calls}
+
+
+def tier1() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    samples = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+        samples.append(round(time.perf_counter() - start, 2))
+        if done.returncode != 0:
+            raise RuntimeError("Tier-1 failed:\n" + done.stdout[-2000:])
+    return {"median_s": statistics.median(samples), "samples_s": samples,
+            "passed": int(re.search(r"(\d+) passed", done.stdout).group(1))}
 
 
 def main() -> int:
@@ -124,6 +149,7 @@ def main() -> int:
             "calls": unicyclic_canonical_searches(),
         },
         "verify_default": verify_default(),
+        "tier1": tier1(),
     }
     path = ROOT / f"BENCH_{rev}.json"
     path.write_text(json.dumps(record, indent=2) + "\n", encoding="ascii")
