@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from . import classify, labelled, solvers, streams
@@ -146,7 +146,9 @@ def clear_caches() -> None:
 
 
 # Corpus caches are solver-independent and safe to keep across runs.  Each
-# order is generated once; the ranges join the cached orders.
+# order is generated once; the ranges join the cached orders.  The corpora
+# of the checks below look them up by name when called, so rebinding a
+# cache reaches every check.
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +179,18 @@ def _script_members(max_order: int) -> tuple[labelled.LabelledTree, ...]:
     return tuple(labelled.generate_script_t(max_order))
 
 
+def _graphs(limits: Limits) -> tuple[Graph, ...]:
+    return _connected_upto(limits.graphs_max_n)
+
+
+def _trees(limits: Limits) -> tuple[Graph, ...]:
+    return _trees_range(3, limits.trees_max_n)
+
+
+def _constructed(limits: Limits) -> tuple[labelled.LabelledTree, ...]:
+    return _script_members(limits.trees_max_n)
+
+
 def _mixed_corpus(limits: Limits) -> Iterator[Graph]:
     """Connected graphs up to the graph limit, then the larger trees; the
     small trees are already among the connected graphs."""
@@ -184,10 +198,12 @@ def _mixed_corpus(limits: Limits) -> Iterator[Graph]:
     yield from _trees_range(max(3, limits.graphs_max_n + 1), limits.trees_max_n)
 
 
-def _label(g: Graph, **extra) -> dict:
-    out = {"graph6": write_graph6(g)}
-    out.update(extra)
-    return out
+def _label(item: Graph | labelled.LabelledTree, **extra) -> dict:
+    """The graph6 of an instance, and the statuses of a constructed tree."""
+    if isinstance(item, labelled.LabelledTree):
+        extra["statuses"] = "".join(item.statuses)
+        item = item.tree
+    return {"graph6": write_graph6(item), **extra}
 
 
 # -- independent brute-force enumeration (used where a check would otherwise
@@ -221,130 +237,133 @@ def _brute_optimal_functions(g: Graph) -> list[tuple[int, int]]:
 
 # -- the checks -------------------------------------------------------------
 #
-# A check is a generator of (instance label, thunk); the thunk returns
-# (ok, witness).  The runner measures and wraps exceptions.
+# A check's cases(limits) is a generator of (instance label, thunk); the
+# thunk returns (ok, witness).  The runner measures and wraps exceptions.
+# A check that tests each corpus item on its own is declared by _per_item
+# from its corpus, its test of one item and an optional chooser; the rest
+# are generators.
 
 Case = tuple[dict, Callable[[], tuple[bool, dict | str | None]]]
 
 
-def _check_eq1(limits: Limits) -> Iterator[Case]:
-    for g in _connected_upto(limits.graphs_max_n):
-        def case(g=g):
-            lo, hi = _gamma(g), _gamma_r(g)
-            ok = lo <= hi <= 2 * lo
-            return ok, None if ok else {"gamma": lo, "gamma_r": hi}
-        yield _label(g), case
+def _per_item(corpus, test, choose=None) -> Callable[[Limits], Iterator[Case]]:
+    """The cases of a check that runs ``test(item)`` on each item of
+    ``corpus(limits)``.  ``choose(item)``, when given, returns extra label
+    fields, or None to skip the item."""
+    def cases(limits: Limits) -> Iterator[Case]:
+        for item in corpus(limits):
+            extra = {} if choose is None else choose(item)
+            if extra is not None:
+                yield _label(item, **extra), partial(test, item)
+    return cases
 
 
-def _check_lem_on(limits: Limits) -> Iterator[Case]:
-    for g in _connected_upto(limits.graphs_max_n):
-        def case(g=g):
-            for v2, v1 in _brute_optimal_functions(g):
-                for v in bits(v1):
-                    if g.adjacency_mask(v) & v2:
-                        return False, {"edge_between_v1_v2_at": v}
-                    if (g.adjacency_mask(v) & v1).bit_count() > 1:
-                        return False, {"v1_component_too_big_at": v, "v1": list(bits(v1))}
-            return True, None
-        yield _label(g), case
+def _member(g: Graph) -> dict | None:
+    return {} if _in_r_uvr(g) else None
 
 
-def _check_lem_minus(limits: Limits) -> Iterator[Case]:
-    for g in _connected_upto(limits.graphs_max_n):
-        def case(g=g):
-            walk = _deletions(g, classify.ROMAN)
-            never_one = classify.never_one_mask(g, _v2_sets(g))
-            for v, after in enumerate(walk):
-                drop = walk.base - after
-                ever_one = not never_one >> v & 1
-                if (drop > 0) != ever_one:
-                    return False, {"vertex": v, "drop": drop, "label1_exists": ever_one}
-                if drop > 0 and drop != 1:
-                    return False, {"vertex": v, "drop": drop}
-            return True, None
-        yield _label(g), case
+def _not_member(t: Graph):
+    ok = not _in_r_uvr(t)
+    return ok, None if ok else {"unexpected_member": True}
 
 
-def _check_lem_minuse(limits: Limits) -> Iterator[Case]:
-    for g in _connected_upto(limits.graphs_max_n):
-        edges = g.edges()
-        sampled = g.order >= 7
-        chosen = edges[::3] if sampled else edges
-        if not chosen:
-            continue
-        def case(g=g, chosen=chosen):
-            base = _gamma_r(g)
-            for e in chosen:
-                after = solvers.roman_domination_number(delete_edges(g, [e]), LIMIT)
-                if after < base:
-                    return False, {"edge": list(e), "before": base, "after": after}
-            return True, None
-        yield _label(g, sampled=sampled), case
+def _eq1(g: Graph):
+    lo, hi = _gamma(g), _gamma_r(g)
+    ok = lo <= hi <= 2 * lo
+    return ok, None if ok else {"gamma": lo, "gamma_r": hi}
 
 
-def _check_thm_r(limits: Limits) -> Iterator[Case]:
-    for g in _connected_upto(limits.graphs_max_n):
-        def case(g=g):
-            roman = _gamma_r(g) == 2 * _gamma(g)
-            no_ones = any(
-                g.closed_reach(mask_of(s)) == g.full_mask for s in _v2_sets(g)
-            )
-            ok = roman == no_ones
-            return ok, None if ok else {"roman": roman, "v1_empty_function": no_ones}
-        yield _label(g), case
+def _lem_on(g: Graph):
+    for v2, v1 in _brute_optimal_functions(g):
+        for v in bits(v1):
+            if g.adjacency_mask(v) & v2:
+                return False, {"edge_between_v1_v2_at": v}
+            if (g.adjacency_mask(v) & v1).bit_count() > 1:
+                return False, {"v1_component_too_big_at": v, "v1": list(bits(v1))}
+    return True, None
 
 
-def _check_thm_un(limits: Limits) -> Iterator[Case]:
-    for t in _trees_range(3, limits.trees_max_n):
-        def case(t=t):
-            summary = _min_dom(t)
-            for dom in summary.all_min_sets:
-                structural = solvers._tree_unique_gamma_structural(t, dom)
-                if structural != summary.unique:
-                    return False, {"set": sorted(dom), "structural": structural,
-                                   "unique": summary.unique}
-            # non-minimum dominating sets are never the unique minimum one
-            k = summary.gamma + 1
-            if k <= t.order:
-                closed, full = t.closed_rows(), t.full_mask
-                for combo in itertools.combinations(range(t.order), k):
-                    reach = 0
-                    for v in combo:
-                        reach |= closed[v]
-                    if reach != full:
-                        continue
-                    if solvers._tree_unique_gamma_structural(t, frozenset(combo)):
-                        return False, {"oversized_structural_set": list(combo)}
-            return True, None
-        yield _label(t), case
+def _lem_minus(g: Graph):
+    walk = _deletions(g, classify.ROMAN)
+    never_one = classify.never_one_mask(g, _v2_sets(g))
+    for v, after in enumerate(walk):
+        drop = walk.base - after
+        ever_one = not never_one >> v & 1
+        if (drop > 0) != ever_one:
+            return False, {"vertex": v, "drop": drop, "label1_exists": ever_one}
+        if drop > 0 and drop != 1:
+            return False, {"vertex": v, "drop": drop}
+    return True, None
 
 
-def _check_thm_diff_i(limits: Limits) -> Iterator[Case]:
-    for g in _mixed_corpus(limits):
-        def case(g=g):
-            ok = _gamma_r(g) + _diff(g) == g.order
-            return ok, None if ok else {"gamma_r": _gamma_r(g), "differential": _diff(g)}
-        yield _label(g), case
+def _with_edges(g: Graph) -> dict | None:
+    # from order 7 on, every third edge is deleted (see _lem_minuse)
+    return {"sampled": g.order >= 7} if g.size else None
 
 
-def _check_thm_diff_ii(limits: Limits) -> Iterator[Case]:
-    for g in _mixed_corpus(limits):
-        if g.order > 8:
-            continue
-        def case(g=g):
-            v2s = set(_v2_sets(g))
-            dsets = set(solvers.differential_sets(g, LIMIT))
-            if v2s != dsets:
-                return False, {
-                    "optimal_v2_only": [sorted(s) for s in v2s - dsets],
-                    "differential_only": [sorted(s) for s in dsets - v2s],
-                }
-            for v2, v1 in _brute_optimal_functions(g):
-                v0 = g.full_mask & ~v2 & ~v1
-                if v0 != g.closed_reach(v2) & ~v2:
-                    return False, {"v2": list(bits(v2)), "v0": list(bits(v0))}
-            return True, None
-        yield _label(g), case
+def _lem_minuse(g: Graph):
+    base = _gamma_r(g)
+    edges = g.edges()
+    for e in edges[::3] if g.order >= 7 else edges:
+        after = solvers.roman_domination_number(delete_edges(g, [e]), LIMIT)
+        if after < base:
+            return False, {"edge": list(e), "before": base, "after": after}
+    return True, None
+
+
+def _thm_r(g: Graph):
+    roman = _gamma_r(g) == 2 * _gamma(g)
+    no_ones = any(
+        g.closed_reach(mask_of(s)) == g.full_mask for s in _v2_sets(g)
+    )
+    ok = roman == no_ones
+    return ok, None if ok else {"roman": roman, "v1_empty_function": no_ones}
+
+
+def _thm_un(t: Graph):
+    summary = _min_dom(t)
+    for dom in summary.all_min_sets:
+        structural = solvers._tree_unique_gamma_structural(t, dom)
+        if structural != summary.unique:
+            return False, {"set": sorted(dom), "structural": structural,
+                           "unique": summary.unique}
+    # non-minimum dominating sets are never the unique minimum one
+    k = summary.gamma + 1
+    if k <= t.order:
+        closed, full = t.closed_rows(), t.full_mask
+        for combo in itertools.combinations(range(t.order), k):
+            reach = 0
+            for v in combo:
+                reach |= closed[v]
+            if reach != full:
+                continue
+            if solvers._tree_unique_gamma_structural(t, frozenset(combo)):
+                return False, {"oversized_structural_set": list(combo)}
+    return True, None
+
+
+def _thm_diff_i(g: Graph):
+    ok = _gamma_r(g) + _diff(g) == g.order
+    return ok, None if ok else {"gamma_r": _gamma_r(g), "differential": _diff(g)}
+
+
+def _up_to_order_eight(g: Graph) -> dict | None:
+    return {} if g.order <= 8 else None
+
+
+def _thm_diff_ii(g: Graph):
+    v2s = set(_v2_sets(g))
+    dsets = set(solvers.differential_sets(g, LIMIT))
+    if v2s != dsets:
+        return False, {
+            "optimal_v2_only": [sorted(s) for s in v2s - dsets],
+            "differential_only": [sorted(s) for s in dsets - v2s],
+        }
+    for v2, v1 in _brute_optimal_functions(g):
+        v0 = g.full_mask & ~v2 & ~v1
+        if v0 != g.closed_reach(v2) & ~v2:
+            return False, {"v2": list(bits(v2)), "v0": list(bits(v0))}
+    return True, None
 
 
 def _check_obs_disc(limits: Limits) -> Iterator[Case]:
@@ -362,24 +381,19 @@ def _check_obs_disc(limits: Limits) -> Iterator[Case]:
             yield _label(union), case
 
 
-def _check_obs_pn3(limits: Limits) -> Iterator[Case]:
-    for g in _mixed_corpus(limits):
-        if not _in_r_uvr(g):
-            continue
-        def case(g=g):
-            if _gamma_r(g) != 2 * _gamma(g):
-                return False, {"not_roman": True}
-            for v2 in _v2_sets(g):
-                if g.closed_reach(mask_of(v2)) != g.full_mask:
-                    return False, {"v1_nonempty_for": sorted(v2)}
-                if len(v2) != _gamma(g):
-                    return False, {"v2_not_minimum": sorted(v2)}
-                for v in v2:
-                    if len(private_neighbors(g, v, v2)) < 3:
-                        return False, {"v2": sorted(v2), "small_pn_at": v}
-            # gamma_R = 2 gamma, so 2 on any minimum dominating set is optimal with no 1s
-            return True, None
-        yield _label(g), case
+def _obs_pn3(g: Graph):
+    if _gamma_r(g) != 2 * _gamma(g):
+        return False, {"not_roman": True}
+    for v2 in _v2_sets(g):
+        if g.closed_reach(mask_of(v2)) != g.full_mask:
+            return False, {"v1_nonempty_for": sorted(v2)}
+        if len(v2) != _gamma(g):
+            return False, {"v2_not_minimum": sorted(v2)}
+        for v in v2:
+            if len(private_neighbors(g, v, v2)) < 3:
+                return False, {"v2": sorted(v2), "small_pn_at": v}
+    # gamma_R = 2 gamma, so 2 on any minimum dominating set is optimal with no 1s
+    return True, None
 
 
 def _check_rem_e1(limits: Limits) -> Iterator[Case]:
@@ -402,100 +416,78 @@ def _check_rem_e1(limits: Limits) -> Iterator[Case]:
         yield _label(g, family=f"two-cliques r={r}"), case
 
 
-def _check_prop_3v2(limits: Limits) -> Iterator[Case]:
-    for g in _mixed_corpus(limits):
-        if g.order == 0 or not _in_r_uvr(g):
-            continue
-        def case(g=g):
-            n, gr = g.order, _gamma_r(g)
-            if 3 * gr > 2 * n:
-                return False, {"gamma_r": gr, "order": n}
-            equality = 3 * gr == 2 * n
-            eds = solvers.efficient_dominating_sets(g, LIMIT)
-            if equality:
-                for v2 in _v2_sets(g):
-                    if v2 not in eds:
-                        return False, {"v2_not_efficient": sorted(v2)}
-                    if any(g.degree(v) != 2 for v in v2):
-                        return False, {"v2_with_wrong_degree": sorted(v2)}
-            degree2_eds = any(all(g.degree(v) == 2 for v in d) for d in eds)
-            if degree2_eds and not equality:
-                return False, {"degree2_eds_without_equality": True}
-            if g.min_degree() >= 3 and 3 * gr >= 2 * n:
-                return False, {"min_degree": g.min_degree(), "gamma_r": gr}
-            return True, None
-        yield _label(g), case
+def _prop_3v2(g: Graph):
+    n, gr = g.order, _gamma_r(g)
+    if 3 * gr > 2 * n:
+        return False, {"gamma_r": gr, "order": n}
+    equality = 3 * gr == 2 * n
+    eds = solvers.efficient_dominating_sets(g, LIMIT)
+    if equality:
+        for v2 in _v2_sets(g):
+            if v2 not in eds:
+                return False, {"v2_not_efficient": sorted(v2)}
+            if any(g.degree(v) != 2 for v in v2):
+                return False, {"v2_with_wrong_degree": sorted(v2)}
+    degree2_eds = any(all(g.degree(v) == 2 for v in d) for d in eds)
+    if degree2_eds and not equality:
+        return False, {"degree2_eds_without_equality": True}
+    if g.min_degree() >= 3 and 3 * gr >= 2 * n:
+        return False, {"min_degree": g.min_degree(), "gamma_r": gr}
+    return True, None
 
 
-def _check_prop_02(limits: Limits) -> Iterator[Case]:
-    for g in _connected_upto(limits.graphs_max_n):
-        hyp = list(bits(classify.never_one_mask(g, _v2_sets(g))))
-        if not hyp:
-            continue
-        def case(g=g, hyp=hyp):
-            base = _gamma_r(g)
-            for v in hyp:
-                stripped = classify.graph_minus_all_incident(g, v)
-                after = solvers.roman_domination_number(stripped, LIMIT)
-                if after <= base:
-                    return False, {"vertex": v, "before": base, "after": after}
-            return True, None
-        yield _label(g, vertices=hyp), case
+def _with_never_one(g: Graph) -> dict | None:
+    hyp = list(bits(classify.never_one_mask(g, _v2_sets(g))))
+    return {"vertices": hyp} if hyp else None
 
 
-def _check_cor_uvrbon(limits: Limits) -> Iterator[Case]:
-    for g in _connected_upto(limits.graphs_max_n):
-        if g.order == 0 or g.max_degree() < 2 or not _in_r_uvr(g):
-            continue
-        def case(g=g):
-            # capping the search at the minimum degree makes the bound the
-            # test: exhausting the cap raises and is recorded as a failure
-            b = classify.roman_bondage_number(g, cap=g.min_degree(), limit=LIMIT)
-            return True, {"bondage": b}
-        yield _label(g), case
+def _prop_02(g: Graph):
+    base = _gamma_r(g)
+    for v in bits(classify.never_one_mask(g, _v2_sets(g))):
+        stripped = classify.graph_minus_all_incident(g, v)
+        after = solvers.roman_domination_number(stripped, LIMIT)
+        if after <= base:
+            return False, {"vertex": v, "before": base, "after": after}
+    return True, None
 
 
-def _check_cor_uvrtree(limits: Limits) -> Iterator[Case]:
-    for t in _trees_range(3, limits.trees_max_n):
-        if not _in_r_uvr(t):
-            continue
-        def case(t=t):
-            b = classify.roman_bondage_number(t, cap=3, limit=LIMIT)
-            ok = b == 1
-            return ok, None if ok else {"bondage": b}
-        yield _label(t), case
+def _member_of_degree_two(g: Graph) -> dict | None:
+    return {} if g.max_degree() >= 2 and _in_r_uvr(g) else None
 
 
-def _check_obs_sabc(limits: Limits) -> Iterator[Case]:
-    for lt in _script_members(limits.trees_max_n):
-        def case(lt=lt):
-            bad = labelled.sabc_violations(lt, LIMIT)
-            return not bad, {"violations": bad} if bad else None
-        yield _label(lt.tree, statuses="".join(lt.statuses)), case
+def _cor_uvrbon(g: Graph):
+    # capping the search at the minimum degree makes the bound the test:
+    # exhausting the cap raises and is recorded as a failure
+    b = classify.roman_bondage_number(g, cap=g.min_degree(), limit=LIMIT)
+    return True, {"bondage": b}
 
 
-def _check_cor_unilab(limits: Limits) -> Iterator[Case]:
-    for lt in _script_members(limits.trees_max_n):
-        def case(lt=lt):
-            rec = labelled._recognize(lt.tree, _min_dom(lt.tree))
-            if rec is None:
-                return False, {"recognized": False}
-            ok = rec.statuses == lt.statuses
-            return ok, None if ok else {"expected": "".join(lt.statuses),
-                                         "recognized": "".join(rec.statuses)}
-        yield _label(lt.tree, statuses="".join(lt.statuses)), case
+def _cor_uvrtree(t: Graph):
+    b = classify.roman_bondage_number(t, cap=3, limit=LIMIT)
+    ok = b == 1
+    return ok, None if ok else {"bondage": b}
 
 
-def _check_obs_equi(limits: Limits) -> Iterator[Case]:
-    for g in _mixed_corpus(limits):
-        def case(g=g):
-            roman, diff = _deletions(g, classify.ROMAN), _deletions(g, classify.DIFFERENTIAL)
-            r_u, d_u = all(roman.unchanged()), all(diff.unchanged())
-            r_c, d_c = not any(roman.unchanged()), not any(diff.unchanged())
-            ok = r_u == d_u and r_c == d_c
-            return ok, None if ok else {"r_uvr": r_u, "d_uvr": d_u,
-                                        "r_cvr": r_c, "d_cvr": d_c}
-        yield _label(g), case
+def _obs_sabc(lt: labelled.LabelledTree):
+    bad = labelled.sabc_violations(lt, LIMIT)
+    return not bad, {"violations": bad} if bad else None
+
+
+def _cor_unilab(lt: labelled.LabelledTree):
+    rec = labelled._recognize(lt.tree, _min_dom(lt.tree))
+    if rec is None:
+        return False, {"recognized": False}
+    ok = rec.statuses == lt.statuses
+    return ok, None if ok else {"expected": "".join(lt.statuses),
+                                "recognized": "".join(rec.statuses)}
+
+
+def _obs_equi(g: Graph):
+    roman, diff = _deletions(g, classify.ROMAN), _deletions(g, classify.DIFFERENTIAL)
+    r_u, d_u = all(roman.unchanged()), all(diff.unchanged())
+    r_c, d_c = not any(roman.unchanged()), not any(diff.unchanged())
+    ok = r_u == d_u and r_c == d_c
+    return ok, None if ok else {"r_uvr": r_u, "d_uvr": d_u, "r_cvr": r_c, "d_cvr": d_c}
 
 
 def _criterion_unique_function(t: Graph) -> bool:
@@ -524,60 +516,61 @@ def _check_thm_main(limits: Limits) -> Iterator[Case]:
         yield _label(t), case
 
 
-def _check_cor_sb(limits: Limits) -> Iterator[Case]:
-    for lt in _script_members(limits.trees_max_n):
-        def case(lt=lt):
-            expected = labelled.canonical_gamma_r_function(lt)
-            fns = [solvers.function_from_v2(lt.tree, v2) for v2 in _v2_sets(lt.tree)]
-            ok = fns == [expected]
-            return ok, None if ok else {"function_count": len(fns)}
-        yield _label(lt.tree, statuses="".join(lt.statuses)), case
+def _cor_sb(lt: labelled.LabelledTree):
+    expected = labelled.canonical_gamma_r_function(lt)
+    fns = [solvers.function_from_v2(lt.tree, v2) for v2 in _v2_sets(lt.tree)]
+    ok = fns == [expected]
+    return ok, None if ok else {"function_count": len(fns)}
 
 
-def _check_cor_vdel(limits: Limits) -> Iterator[Case]:
-    for lt in _script_members(limits.trees_max_n):
-        def case(lt=lt):
-            t = lt.tree
-            base = _gamma_r(t)
-            f = labelled.canonical_gamma_r_function(lt)
-            for x in sorted(f.v2):
-                pn = sorted(private_neighbors(t, x, f.v2))
-                for u, v in itertools.combinations(pn, 2):
-                    rest = delete_vertices(t, [u, v])[0]
-                    after = solvers.roman_domination_number(rest, LIMIT)
-                    if after != base - 1:
-                        return False, {"x": x, "pair": [u, v], "after": after,
-                                       "expected": base - 1}
-            return True, None
-        yield _label(lt.tree, statuses="".join(lt.statuses)), case
+def _cor_vdel(lt: labelled.LabelledTree):
+    t = lt.tree
+    base = _gamma_r(t)
+    f = labelled.canonical_gamma_r_function(lt)
+    for x in sorted(f.v2):
+        pn = sorted(private_neighbors(t, x, f.v2))
+        for u, v in itertools.combinations(pn, 2):
+            rest = delete_vertices(t, [u, v])[0]
+            after = solvers.roman_domination_number(rest, LIMIT)
+            if after != base - 1:
+                return False, {"x": x, "pair": [u, v], "after": after,
+                               "expected": base - 1}
+    return True, None
 
 
-def _check_cor_edel(limits: Limits) -> Iterator[Case]:
-    for lt in _script_members(limits.trees_max_n):
-        f = labelled.canonical_gamma_r_function(lt)
-        inner = [e for e in lt.tree.edges() if e[0] in f.v0 and e[1] in f.v0]
-        if not inner:
-            continue
-        def case(lt=lt, inner=inner):
-            for e in inner:
-                forest = delete_edges(lt.tree, [e])
-                if not _in_r_uvr(forest):
-                    return False, {"edge": list(e), "forest_member": False}
-                for comp, _ in connected_components(forest):
-                    if not _in_r_uvr(comp):
-                        return False, {"edge": list(e), "component_order": comp.order}
-            return True, None
-        yield _label(lt.tree, statuses="".join(lt.statuses)), case
+def _inner_edges(lt: labelled.LabelledTree) -> list[tuple[int, int]]:
+    """The edges between two vertices the canonical function labels 0."""
+    v0 = labelled.canonical_gamma_r_function(lt).v0
+    return [e for e in lt.tree.edges() if e[0] in v0 and e[1] in v0]
 
 
-def _check_prop_t1(limits: Limits) -> Iterator[Case]:
-    for lt in _script_members(limits.trees_max_n):
-        def case(lt=lt):
-            no_c = labelled.in_t1(lt)
-            equality = 2 * lt.order == 3 * _gamma_r(lt.tree)
-            ok = no_c == equality
-            return ok, None if ok else {"no_c_vertices": no_c, "two_thirds": equality}
-        yield _label(lt.tree, statuses="".join(lt.statuses)), case
+def _with_inner_edges(lt: labelled.LabelledTree) -> dict | None:
+    return {} if _inner_edges(lt) else None
+
+
+def _cor_edel(lt: labelled.LabelledTree):
+    for e in _inner_edges(lt):
+        forest = delete_edges(lt.tree, [e])
+        parts = connected_components(forest)
+        if len(parts) != 2:
+            return False, {"edge": list(e), "components": len(parts)}
+        if not _in_r_uvr(forest):
+            return False, {"edge": list(e), "forest_member": False}
+        for comp, _ in parts:
+            if not _in_r_uvr(comp):
+                return False, {"edge": list(e), "component_order": comp.order}
+    return True, None
+
+
+def _prop_t1(lt: labelled.LabelledTree):
+    no_c = labelled.in_t1(lt)
+    equality = 2 * lt.order == 3 * _gamma_r(lt.tree)
+    ok = no_c == equality
+    return ok, None if ok else {"no_c_vertices": no_c, "two_thirds": equality}
+
+
+def _minedge_i_trees(limits: Limits) -> list[Graph]:
+    return [t for n in (4, 5, 8) if n <= limits.trees_max_n for t in _trees_range(n, n)]
 
 
 def _check_minedge_i(limits: Limits) -> Iterator[Case]:
@@ -590,14 +583,7 @@ def _check_minedge_i(limits: Limits) -> Iterator[Case]:
         return ok, None if ok else {"orders": got, "expected": want}
 
     yield {"family": f"constructed trees up to {maxn}"}, orders_case
-    for n in (4, 5, 8):
-        if n > maxn:
-            continue
-        for t in _trees_range(n, n):
-            def case(t=t):
-                ok = not _in_r_uvr(t)
-                return ok, None if ok else {"unexpected_member": True}
-            yield _label(t), case
+    yield from _per_item(_minedge_i_trees, _not_member)(limits)
 
 
 def _check_minedge_ii(limits: Limits) -> Iterator[Case]:
@@ -624,6 +610,10 @@ def _check_minedge_ii(limits: Limits) -> Iterator[Case]:
         yield {"family": f"connected graphs of order {n}"}, case
 
 
+def _order_eight_trees(limits: Limits) -> tuple[Graph, ...]:
+    return _trees_range(8, 8) if limits.trees_max_n >= 8 else ()
+
+
 def _check_minedge_iii(limits: Limits) -> Iterator[Case]:
     n = limits.unicyclic_n
 
@@ -640,12 +630,8 @@ def _check_minedge_iii(limits: Limits) -> Iterator[Case]:
         return ok, None if ok else {"members": [write_graph6(g) for g in members]}
 
     yield {"family": f"unicyclic graphs of order {n}"}, unicyclic_case
-    if n == 8 and limits.trees_max_n >= 8:
-        for t in _trees_range(8, 8):
-            def case(t=t):
-                ok = not _in_r_uvr(t)
-                return ok, None if ok else {"unexpected_member": True}
-            yield _label(t), case
+    if n == 8:
+        yield from _per_item(_order_eight_trees, _not_member)(limits)
 
 
 @dataclass(frozen=True)
@@ -659,29 +645,29 @@ class Check:
 REGISTRY: dict[str, Check] = {
     c.check_id: c
     for c in (
-        Check("EQ1", "gamma <= gamma_R <= 2 gamma", "graphs", _check_eq1),
-        Check("LEM-ON", "optimal functions: 1-labelled parts have order >= 2 and never touch a 2", "graphs", _check_lem_on),
-        Check("LEM-MINUS", "vertex deletion lowers gamma_R iff some optimal function labels it 1; drops are exactly 1", "graphs", _check_lem_minus),
-        Check("LEM-MINUSE", "edge deletion never lowers gamma_R", "graphs", _check_lem_minuse),
-        Check("THM-R", "gamma_R = 2 gamma iff an optimal function avoids label 1", "graphs", _check_thm_r),
-        Check("THM-UN", "a dominating set of a tree is the unique minimum one iff each member has two nonadjacent private neighbors", "trees", _check_thm_un),
-        Check("THM-DIFF-I", "gamma_R plus the differential equals the order", "graphs+trees", _check_thm_diff_i),
-        Check("THM-DIFF-II", "optimal V2 sets and maximum-differential sets coincide, with V0 the boundary of V2", "graphs+trees", _check_thm_diff_ii),
+        Check("EQ1", "gamma <= gamma_R <= 2 gamma", "graphs", _per_item(_graphs, _eq1)),
+        Check("LEM-ON", "optimal functions: 1-labelled parts have order >= 2 and never touch a 2", "graphs", _per_item(_graphs, _lem_on)),
+        Check("LEM-MINUS", "vertex deletion lowers gamma_R iff some optimal function labels it 1; drops are exactly 1", "graphs", _per_item(_graphs, _lem_minus)),
+        Check("LEM-MINUSE", "edge deletion never lowers gamma_R", "graphs", _per_item(_graphs, _lem_minuse, _with_edges)),
+        Check("THM-R", "gamma_R = 2 gamma iff an optimal function avoids label 1", "graphs", _per_item(_graphs, _thm_r)),
+        Check("THM-UN", "a dominating set of a tree is the unique minimum one iff each member has two nonadjacent private neighbors", "trees", _per_item(_trees, _thm_un)),
+        Check("THM-DIFF-I", "gamma_R plus the differential equals the order", "graphs+trees", _per_item(_mixed_corpus, _thm_diff_i)),
+        Check("THM-DIFF-II", "optimal V2 sets and maximum-differential sets coincide, with V0 the boundary of V2", "graphs+trees", _per_item(_mixed_corpus, _thm_diff_ii, _up_to_order_eight)),
         Check("OBS-DISC", "membership in the vertex-removal-stable class holds iff it holds per component", "graph pairs", _check_obs_disc),
-        Check("OBS-PN3", "stable graphs: no 1s, V2 a minimum dominating set, three private neighbors each; every minimum dominating set lifts to an optimal function", "members", _check_obs_pn3),
+        Check("OBS-PN3", "stable graphs: no 1s, V2 a minimum dominating set, three private neighbors each; every minimum dominating set lifts to an optimal function", "members", _per_item(_mixed_corpus, _obs_pn3, _member)),
         Check("REM-E1", "two bridged cliques: gamma_R 4, stable, private neighborhoods of size r-1 or r", "constructed", _check_rem_e1),
-        Check("PROP-3V2", "stable connected graphs satisfy 3 gamma_R <= 2n, with equality exactly in the degree-2 efficient-domination case", "members", _check_prop_3v2),
-        Check("PROP-02", "stripping all edges at a vertex never labelled 1 raises gamma_R", "graphs", _check_prop_02),
-        Check("COR-UVRBON", "stable graphs: bondage at most the minimum degree", "members", _check_cor_uvrbon),
-        Check("COR-UVRTREE", "stable trees have bondage exactly 1", "tree members", _check_cor_uvrtree),
-        Check("OBS-SABC", "structural facts of the labelling (independent dominating B-set, A/B/C degree conditions, unique minimum dominating set)", "constructed trees", _check_obs_sabc),
-        Check("COR-UNILAB", "the labelling of a constructed tree is unique and recoverable", "constructed trees", _check_cor_unilab),
-        Check("OBS-EQUI", "vertex-removal stability under gamma_R and under the differential coincide", "graphs+trees", _check_obs_equi),
+        Check("PROP-3V2", "stable connected graphs satisfy 3 gamma_R <= 2n, with equality exactly in the degree-2 efficient-domination case", "members", _per_item(_mixed_corpus, _prop_3v2, _member)),
+        Check("PROP-02", "stripping all edges at a vertex never labelled 1 raises gamma_R", "graphs", _per_item(_graphs, _prop_02, _with_never_one)),
+        Check("COR-UVRBON", "stable graphs: bondage at most the minimum degree", "members", _per_item(_graphs, _cor_uvrbon, _member_of_degree_two)),
+        Check("COR-UVRTREE", "stable trees have bondage exactly 1", "tree members", _per_item(_trees, _cor_uvrtree, _member)),
+        Check("OBS-SABC", "structural facts of the labelling (independent dominating B-set, A/B/C degree conditions, unique minimum dominating set)", "constructed trees", _per_item(_constructed, _obs_sabc)),
+        Check("COR-UNILAB", "the labelling of a constructed tree is unique and recoverable", "constructed trees", _per_item(_constructed, _cor_unilab)),
+        Check("OBS-EQUI", "vertex-removal stability under gamma_R and under the differential coincide", "graphs+trees", _per_item(_mixed_corpus, _obs_equi)),
         Check("THM-MAIN", "five-way equivalence for trees: constructed, removal-stable, unique-function shape, unique-dominating-set shape, differential-stable", "trees", _check_thm_main),
-        Check("COR-SB", "the 2-on-B function is the unique optimal function of a constructed tree", "constructed trees", _check_cor_sb),
-        Check("COR-VDEL", "deleting two private neighbors of a V2 vertex lowers gamma_R by exactly 1", "constructed trees", _check_cor_vdel),
-        Check("COR-EDEL", "deleting an edge between 0-labelled vertices keeps every part removal-stable", "constructed trees", _check_cor_edel),
-        Check("PROP-T1", "no C-vertices iff gamma_R equals two thirds of the order", "constructed trees", _check_prop_t1),
+        Check("COR-SB", "the 2-on-B function is the unique optimal function of a constructed tree", "constructed trees", _per_item(_constructed, _cor_sb)),
+        Check("COR-VDEL", "deleting two private neighbors of a V2 vertex lowers gamma_R by exactly 1", "constructed trees", _per_item(_constructed, _cor_vdel)),
+        Check("COR-EDEL", "deleting an edge between 0-labelled vertices keeps every part removal-stable", "constructed trees", _per_item(_constructed, _cor_edel, _with_inner_edges)),
+        Check("PROP-T1", "no C-vertices iff gamma_R equals two thirds of the order", "constructed trees", _per_item(_constructed, _prop_t1)),
         Check("MINEDGE-I", "tree members exist exactly at orders 3, 6, 7 and 9 upward", "trees", _check_minedge_i),
         Check("MINEDGE-II", "orders 4 and 5: unique minimum-size member, 2n-3 edges, the join of an edge with isolated vertices", "graphs", _check_minedge_ii),
         Check("MINEDGE-III", "order 8: the unique unicyclic member is the 4-cycle with paired leaves; no order-8 tree is a member", "unicyclic", _check_minedge_iii),

@@ -24,10 +24,9 @@ UNICYCLIC_COUNTS = (0, 0, 0, 1, 2, 5, 13, 33, 89, 240, 657)
 
 
 class InstanceStream:
-    """Re-iterable graph stream with a source tag for reporting."""
+    """Re-iterable graph stream; ``order`` is -1 for graphs read from a file."""
 
-    def __init__(self, source: str, order: int, factory: Callable[[], Iterator[Graph]]):
-        self.source = source
+    def __init__(self, order: int, factory: Callable[[], Iterator[Graph]]):
         self.order = order
         self._factory = factory
 
@@ -96,7 +95,7 @@ def free_trees(n: int) -> InstanceStream:
     """Every free tree on n vertices, exactly once per isomorphism class."""
     if not 1 <= n <= FREE_TREE_LIMIT:
         raise GraphError(f"free tree generation supports 1 <= n <= {FREE_TREE_LIMIT}")
-    return InstanceStream("generated-trees", n, lambda: _iter_free_trees(n))
+    return InstanceStream(n, lambda: _iter_free_trees(n))
 
 
 # -- connected graphs ----------------------------------------------------------
@@ -121,7 +120,7 @@ def connected_graphs(n: int) -> InstanceStream:
         raise GraphError(
             f"connected graph generation supports 1 <= n <= {CONNECTED_GRAPH_LIMIT}"
         )
-    return InstanceStream("generated-graphs", n, lambda: _iter_connected(n))
+    return InstanceStream(n, lambda: _iter_connected(n))
 
 
 # -- unicyclic graphs ----------------------------------------------------------
@@ -179,7 +178,7 @@ def unicyclic_graphs(n: int) -> InstanceStream:
     """All connected graphs with exactly one cycle, via tree plus chord."""
     if not 3 <= n <= UNICYCLIC_LIMIT:
         raise GraphError(f"unicyclic generation supports 3 <= n <= {UNICYCLIC_LIMIT}")
-    return InstanceStream("generated-unicyclic", n, lambda: _iter_unicyclic(n))
+    return InstanceStream(n, lambda: _iter_unicyclic(n))
 
 
 # -- graph6 files --------------------------------------------------------------
@@ -208,4 +207,4 @@ def read_graph6_stream(path: str) -> InstanceStream:
             for _, g in iter_graph6_lines(handle):
                 yield g
 
-    return InstanceStream("file", -1, factory)
+    return InstanceStream(-1, factory)

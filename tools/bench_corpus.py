@@ -1,7 +1,7 @@
 """Time corpus generation, the structural decomposition of a 3,603-vertex
 path and the default verify sweep in process, and the Tier-1 test suite in
-a child process, and write ``BENCH_<short-rev>.json`` at the repository
-root.
+a child process, count the lines of each package module, and write
+``BENCH_<short-rev>.json`` at the repository root.
 
     python3 tools/bench_corpus.py
 
@@ -135,6 +135,13 @@ def tier1() -> dict:
             "passed": int(re.search(r"(\d+) passed", done.stdout).group(1))}
 
 
+def src_lines() -> dict:
+    """Line count of each ``src/romandom`` module, and their total."""
+    modules = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+               for path in sorted((ROOT / "src" / "romandom").glob("*.py"))}
+    return {"modules": modules, "total": sum(modules.values())}
+
+
 def main() -> int:
     rev = short_rev()
     record = {
@@ -143,6 +150,7 @@ def main() -> int:
         "machine": platform.machine(),
         "cpus_usable": len(os.sched_getaffinity(0)),
         "runs": RUNS,
+        "src_lines": src_lines(),
         "timings": timed(),
         "unicyclic_canonical_searches": {
             "orders": [UNICYCLIC_ORDERS.start, UNICYCLIC_ORDERS.stop - 1],
