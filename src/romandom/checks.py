@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, Iterator
 
-from . import classify, labelled, solvers, streams
+from . import classify, kernels, labelled, solvers, streams
 from .graphs import (
     Graph,
     bits,
@@ -327,18 +327,13 @@ def _thm_un(t: Graph):
         if structural != summary.unique:
             return False, {"set": sorted(dom), "structural": structural,
                            "unique": summary.unique}
-    # non-minimum dominating sets are never the unique minimum one
-    k = summary.gamma + 1
-    if k <= t.order:
-        closed, full = t.closed_rows(), t.full_mask
-        for combo in itertools.combinations(range(t.order), k):
-            reach = 0
-            for v in combo:
-                reach |= closed[v]
-            if reach != full:
-                continue
-            if solvers._tree_unique_gamma_structural(t, frozenset(combo)):
-                return False, {"oversized_structural_set": list(combo)}
+    # non-minimum dominating sets are never the unique minimum one.  In a
+    # tree two neighbours of a member are never adjacent, so the structural
+    # test asks for two private neighbours outside the set, and the search
+    # finds, in lexicographic order, every set it could accept
+    for mask in kernels.private_dominating_masks(t.closed_rows(), summary.gamma + 1, 2):
+        if solvers._tree_unique_gamma_structural(t, frozenset(bits(mask))):
+            return False, {"oversized_structural_set": list(bits(mask))}
     return True, None
 
 

@@ -66,11 +66,13 @@ class Graph:
 
     def closed_reach(self, mask: int) -> int:
         """The vertices of ``mask`` plus their neighbors, as a bitmask."""
-        if mask & ~self.full_mask:
+        if mask >> self.order:
             raise GraphError("set contains out-of-range vertices")
-        reach = mask
-        for v in bits(mask):
-            reach |= self._adj[v]
+        reach, adj = mask, self._adj
+        while mask:
+            low = mask & -mask
+            reach |= adj[low.bit_length() - 1]
+            mask ^= low
         return reach
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -285,10 +287,14 @@ def _relabelled(g: Graph, old_ids: Sequence[int]) -> Graph:
         return g
     new_id = {u: i for i, u in enumerate(old_ids)}
     keep = mask_of(old_ids)
-    rows = [0] * len(old_ids)
-    for i, u in enumerate(old_ids):
-        for w in bits(g.adjacency_mask(u) & keep):
-            rows[i] |= 1 << new_id[w]
+    rows = []
+    for u in old_ids:
+        m, row = g._adj[u] & keep, 0
+        while m:
+            low = m & -m
+            row |= 1 << new_id[low.bit_length() - 1]
+            m ^= low
+        rows.append(row)
     return Graph(len(old_ids), rows)
 
 

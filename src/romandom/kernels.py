@@ -1,25 +1,45 @@
-"""The hot kernels, in pure Python: the subset scans behind the solvers and
-the canonical search behind isomorphism classes.
+"""The hot kernels, in pure Python: the searches and forest programmes
+behind the solvers, and the canonical search behind isomorphism classes.
 
 Every routine works on bitmask adjacency rows (``rows[v]`` has bit ``u``
 set when ``uv`` is an edge).  Vertex-set arguments and results are encoded
-as int bitmasks over vertex ids ``0..n-1``; mask lists are ascending.
+as int bitmasks over vertex ids ``0..n-1``; mask lists are ascending
+unless a function says otherwise.
 
-The scans visit subsets by size (`_levels`) rather than all ``2^n`` of
-them, and each scan stops at the first size that cannot change its answer.
-A k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
+On the symmetric rows of a forest, `min_weight_cover` and
+`max_differential` run linear programmes over the whole forest.  The first
+keeps four Roman states per vertex (labelled 2; labelled 1; labelled 0
+with a child labelled 2; labelled 0 and waiting for its parent), after
+Cockayne, Dreyer, Hedetniemi and Hedetniemi (Discrete Math. 278, 2004).
+The second keeps three open-row states of its own (in S; outside S with a
+child in S; outside S with no child in S), so the two still check each
+other.  On other rows they scan, and so do `min_cover_masks`,
+`max_differential_masks` and `efficient_dominating_masks`: subsets by
+size (`_levels`), never all ``2^n`` of them.
+
+Each search stops at the first point that cannot change its answer.  A
+k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
 ``|B(S)| - k <= n - 2k``, so:
 
 - `min_weight_cover` stops once ``2k >= best`` and `min_cover_masks` once
   ``2k > best`` (ties still count);
 - `max_differential` stops once ``n - 2k <= best`` and
   `max_differential_masks` once ``n - 2k < best``;
-- the dominating-set scans stop at the first size with a dominating set;
 - `efficient_dominating_masks` grows a set only by a closed neighborhood
-  disjoint from the ones it has.
+  disjoint from the ones it has;
+- the dominating-set kernels branch on the lowest uncovered vertex, trying
+  each vertex whose row holds it in ascending order; later siblings never
+  take an earlier one, so each set is reached once.  The size bound
+  deepens k = 0, 1, ..., and a branch stops when its room times the widest
+  row is less than what is left to cover;
+- `private_dominating_masks` grows sets in ascending vertex order.  A
+  branch stops once a member keeps too few private neighbours, which only
+  shrink as the set grows, or once no vertex still allowed covers the
+  lowest uncovered one.
 
-The tests check every scan against a full ``2^n`` scan
-(``oracles.full_scan_kernel``).
+The tests check every kernel against a full ``2^n`` scan
+(``oracles.full_scan_kernel``), and each forest programme against the
+scans.
 
 The one canonical encoding of a graph is `canonical_signature`: the tuple
 of adjacency rows after relabelling by `canonical_permutation`.  It is a
@@ -61,12 +81,76 @@ def _levels(rows, disjoint=False):
             level = [(m | b, u | r) for m, u in level for b, r in tails[m.bit_length()]]
 
 
+# A weight no assignment reaches; its negative is a differential none reaches.
+_NEVER = 1 << 30
+# The Roman states of a vertex before any child is folded in, so those of
+# a leaf: labelled 2, labelled 1, labelled 0 with a child labelled 2,
+# labelled 0 and waiting for its parent.
+_ROMAN_LEAF = (2, 1, _NEVER, 0)
+# The open-row states of a leaf: in S (it pays 1), outside S with a child
+# in S, outside S with no child in S.
+_OPEN_LEAF = (-1, -_NEVER, 0)
+
+
+def _forest(rows, loops):
+    """Parent links (-1 at a root) and a preorder of the forest whose
+    adjacency rows are ``rows``, each holding its own vertex when ``loops``;
+    None when the rows are not the symmetric rows of a forest.
+
+    A row's own bit and its parent's bit are flipped off; a missing one is
+    flipped on instead, and like a cycle it then meets a vertex already
+    seen.
+    """
+    n = len(rows)
+    _check_scan_order(n)
+    parent = [-1] * n
+    preorder = []
+    seen = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        seen |= 1 << root
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            row = rows[v] ^ (loops << v)
+            if parent[v] >= 0:
+                row ^= 1 << parent[v]
+            if row & seen or row >> n:
+                return None
+            seen |= row
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                parent[u] = v
+                stack.append(u)
+                row ^= low
+    return parent, preorder
+
+
 def min_weight_cover(closed):
     """min over S of 2|S| + |V - N[S]| with N[S] taken from closed rows.
 
     This equals the Roman domination number of the graph whose closed
     neighborhoods are ``closed``.
     """
+    forest = _forest(closed, True)
+    if forest is not None:
+        parent, preorder = forest
+        two, one, zero, wait = ([state] * len(closed) for state in _ROMAN_LEAF)
+        best = 0
+        for v in reversed(preorder):  # children before parents
+            done = min(two[v], one[v], zero[v])  # v needs nothing from its parent
+            p = parent[v]
+            if p < 0:
+                best += done
+                continue
+            zero[p] = min(zero[p] + done, wait[p] + two[v])
+            two[p] += min(done, wait[v])
+            one[p] += done
+            wait[p] += min(one[v], zero[v])
+        return best
     n = len(closed)
     full = (1 << n) - 1
     best = n  # S = empty: every vertex pays 1
@@ -94,29 +178,116 @@ def min_cover_masks(closed):
     return sorted(out)
 
 
+def _holders(rows):
+    """For each vertex u, the mask of the vertices whose row holds u."""
+    _check_scan_order(len(rows))
+    holders = [0] * len(rows)
+    for v, row in enumerate(rows):
+        while row:
+            low = row & -row
+            holders[low.bit_length() - 1] |= 1 << v
+            row ^= low
+    return holders
+
+
+def _dominating(closed, first):
+    """The least k such that k rows cover all n vertices, and the masks of
+    the k-sets that do, ascending (only the first one found when
+    ``first``); ``(n, [])`` when no set of rows covers them."""
+    n = len(closed)
+    full = (1 << n) - 1
+    holders = _holders(closed)
+    if not all(holders):
+        return n, []
+    widest = max((row.bit_count() for row in closed), default=0)
+    for k in range(n + 1):
+        found = []
+        stack = [(0, 0, full, k)]  # chosen, covered, still allowed, room
+        while stack:
+            chosen, cover, allowed, room = stack.pop()
+            if cover == full:
+                found.append(chosen)
+                if first:
+                    break
+                continue
+            rest = full & ~cover
+            if room * widest < rest.bit_count():
+                continue
+            options = holders[(rest & -rest).bit_length() - 1] & allowed
+            while options:
+                pick = options & -options
+                stack.append((chosen | pick, cover | closed[pick.bit_length() - 1], allowed, room - 1))
+                allowed ^= pick  # later siblings never take an earlier one
+                options ^= pick
+        if found:
+            return k, sorted(found)
+
+
 def min_dominating_size(closed):
-    full = (1 << len(closed)) - 1
-    for k, level in enumerate(_levels(closed)):
-        if any(u == full for _, u in level):
-            return k
-    return len(closed)  # only for rows that no subset covers
+    return _dominating(closed, True)[0]
 
 
 def min_dominating_masks(closed):
-    full = (1 << len(closed)) - 1
-    for level in _levels(closed):
-        out = [m for m, u in level if u == full]
-        if out:
-            return sorted(out)
-    return []
+    return _dominating(closed, False)[1]
+
+
+def private_dominating_masks(closed, k, need):
+    """The k-sets S whose rows cover all n vertices and whose every member
+    x keeps at least ``need`` private neighbours outside S: vertices
+    outside S that the row of x alone covers.  In lexicographic order of
+    their sorted vertex lists."""
+    n = len(closed)
+    full = (1 << n) - 1
+    holders = _holders(closed)
+    out = []
+    stack = [(0, 0, 0, 0, k)]  # members, covered, covered twice, next vertex, room
+    while stack:
+        chosen, once, twice, start, room = stack.pop()
+        if not room:
+            if once == full:
+                out.append(chosen)
+            continue
+        stop = n - room  # the highest vertex that leaves room for the rest
+        rest = full & ~once
+        if rest:  # and one that can still cover the lowest uncovered vertex
+            stop = min(stop, holders[(rest & -rest).bit_length() - 1].bit_length() - 1)
+        for w in range(stop, start - 1, -1):  # the lowest is taken first
+            members = chosen | 1 << w
+            many = twice | once & closed[w]
+            private = ~members & ~many
+            m = members
+            while m:
+                low = m & -m
+                if (closed[low.bit_length() - 1] & private).bit_count() < need:
+                    break
+                m ^= low
+            else:
+                stack.append((members, once | closed[w], many, w + 1, room - 1))
+    return out
 
 
 def max_differential(open_rows):
     """max over S of |B(S)| - |S| where B(S) are outside vertices with a
-    neighbor in S.  Uses open neighborhoods only, and a stop rule that does
-    not depend on the Roman weight; deliberately a separate code path from
-    min_weight_cover so the two can cross-check each other.
+    neighbor in S.  Uses open neighborhoods only, its own forest programme
+    and a stop rule that does not depend on the Roman weight; deliberately a
+    separate code path from min_weight_cover so the two can cross-check
+    each other.
     """
+    forest = _forest(open_rows, False)
+    if forest is not None:
+        parent, preorder = forest
+        inside, reached, free = ([state] * len(open_rows) for state in _OPEN_LEAF)
+        best = 0
+        for v in reversed(preorder):  # children before parents
+            done = max(inside[v], reached[v], free[v])
+            p = parent[v]
+            if p < 0:
+                best += done
+                continue
+            reached[p] = max(reached[p] + done, free[p] + 1 + inside[v])
+            inside[p] += max(inside[v], reached[v], free[v] + 1)
+            free[p] += max(reached[v], free[v])
+        return best
     n = len(open_rows)
     best = 0  # S = empty
     for k, level in enumerate(_levels(open_rows)):

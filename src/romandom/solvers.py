@@ -1,10 +1,11 @@
 """Exact solvers: domination number, Roman domination number, differential,
 their optimal-set enumerations, and efficient dominating sets.
 
-Everything is exhaustive search over vertex subsets (no approximation);
+Everything is exact search over vertex subsets (no approximation);
 instances above the configured limit raise instead of degrading.  All
 solvers split the input into connected components, solve per component and
-combine: values add, enumerations form cartesian products.
+combine: values add, enumerations form cartesian products.  A forest's
+values come from one kernel call on the whole forest.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import GraphError, LimitExceededError
-from .graphs import Graph, bits, connected_components, is_tree, mask_of, private_neighbors
+from .graphs import Graph, bits, connected_components, is_forest, is_tree, mask_of, private_neighbors
 
 DEFAULT_EXACT_LIMIT = 20
 SWEEP_EXACT_LIMIT = 16
@@ -80,8 +81,13 @@ def is_dominating(g: Graph, vertices) -> bool:
 
 def _component_value(g: Graph, limit: int, kernel, rows) -> int:
     """Sum of ``kernel(rows(component))`` over the components.  ``rows`` is
-    ``Graph.closed_rows`` or ``Graph.open_rows``."""
+    ``Graph.closed_rows`` or ``Graph.open_rows``.  A forest goes to the
+    kernel whole, in one call on its own rows.  The edge count screens
+    first: a connected graph with a cycle has at least as many edges as
+    vertices, so it never takes the forest test."""
     _check_limit(g, limit)
+    if g.size < g.order and is_forest(g):
+        return kernel(rows(g))
     return sum(kernel(rows(comp)) for comp, _ in connected_components(g))
 
 

@@ -1,8 +1,9 @@
 """Checks that a broken helper must fail: each mutant is monkeypatched into
-``romandom.checks`` and the check it names must report failures."""
+the package and the check it names must report failures."""
 
-from romandom import checks
+from romandom import checks, kernels, solvers
 from romandom.checks import Limits, run_suite
+from romandom.graphs import private_neighbors
 
 SMALL = Limits(9, 5, 6)
 
@@ -14,3 +15,18 @@ def test_cor_edel_fails_when_edge_deletion_does_nothing(monkeypatch):
     report = run_suite("COR-EDEL", SMALL)
     assert report.total == 3
     assert [r.witness["components"] for r in report.failures] == [1, 1, 1]
+
+
+def test_thm_un_fails_when_one_private_neighbour_is_enough(monkeypatch):
+    def one_private(t, dset):
+        return all(private_neighbors(t, x, dset) - dset for x in dset)
+
+    monkeypatch.setattr(solvers, "_tree_unique_gamma_structural", one_private)
+    assert run_suite("THM-UN", SMALL).failures
+
+
+def test_thm_diff_i_fails_when_a_leaf_state_is_off_by_one(monkeypatch):
+    # a leaf in S that pays nothing: the forest programme's differential
+    # rises, and only on forests, so gamma_R + differential = n breaks
+    monkeypatch.setattr(kernels, "_OPEN_LEAF", (0,) + kernels._OPEN_LEAF[1:])
+    assert run_suite("THM-DIFF-I", SMALL).failures

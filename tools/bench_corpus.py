@@ -1,7 +1,7 @@
 """Time corpus generation, the structural decomposition of a 3,603-vertex
-path and the default verify sweep in process, and the Tier-1 test suite in
-a child process, count the lines of each package module, and write
-``BENCH_<short-rev>.json`` at the repository root.
+path and the default verify sweep with each of its checks in process, and
+the Tier-1 test suite in a child process, count the lines of each package
+module, and write ``BENCH_<short-rev>.json`` at the repository root.
 
     python3 tools/bench_corpus.py
 
@@ -16,7 +16,9 @@ taken in a separate, untimed pass by wrapping
 each kernel entry point wrapped by a call counter; that run also fills the
 corpus caches.  It is then timed ``RUNS`` times without the counters, so
 its wall time covers the checks and not corpus generation, which the
-timings above cover.  A wrapped entry point also counts the calls other
+timings above cover.  The same runs time each check around its whole loop,
+from the first step of its cases to the last, with the solver caches the
+checks before it filled.  A wrapped entry point also counts the calls other
 kernels make to it: ``canonical_signature`` calls ``canonical_permutation``.
 
 The Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
@@ -26,6 +28,7 @@ interpreter, and its wall time is kept as the median.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import platform
@@ -39,7 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from romandom import graphs, kernels, labelled, streams  # noqa: E402
+from romandom import checks, graphs, kernels, labelled, streams  # noqa: E402
 from romandom.checks import run_suite  # noqa: E402
 
 RUNS = 3
@@ -47,7 +50,7 @@ UNICYCLIC_ORDERS = range(3, 11)
 KERNEL_ENTRY_POINTS = (
     "min_weight_cover", "min_cover_masks", "min_dominating_size", "min_dominating_masks",
     "max_differential", "max_differential_masks", "efficient_dominating_masks",
-    "canonical_permutation", "canonical_signature", "connected_canonical_signatures",
+    "private_dominating_masks", "canonical_permutation", "canonical_signature", "connected_canonical_signatures",
 )
 
 TIMINGS = {
@@ -80,9 +83,11 @@ def timed() -> dict:
 
 
 def kernel_calls(work, names) -> dict:
-    """Calls of each named ``romandom.kernels`` function while ``work()`` runs."""
-    calls = dict.fromkeys(names, 0)
-    reals = {name: getattr(kernels, name) for name in names}
+    """Calls of each named ``romandom.kernels`` function while ``work()`` runs.
+    A name the checkout's kernels lack is left out, so that the script
+    measures older checkouts too."""
+    reals = {name: getattr(kernels, name) for name in names if hasattr(kernels, name)}
+    calls = dict.fromkeys(reals, 0)
 
     def counting(name):
         def call(*args):
@@ -90,7 +95,7 @@ def kernel_calls(work, names) -> dict:
             return reals[name](*args)
         return call
 
-    for name in names:
+    for name in reals:
         setattr(kernels, name, counting(name))
     try:
         work()
@@ -108,17 +113,38 @@ def unicyclic_canonical_searches() -> int:
     return kernel_calls(work, ["canonical_signature"])["canonical_signature"]
 
 
+def whole_loop(cases, samples):
+    """``cases`` of one check, appending to ``samples`` the seconds from
+    the first step of its generator to the last: the runner runs each case
+    between two steps."""
+    def timed(limits):
+        start = time.perf_counter()
+        try:
+            yield from cases(limits)
+        finally:
+            samples.append(round(time.perf_counter() - start, 4))
+    return timed
+
+
 def verify_default() -> dict:
     calls = kernel_calls(run_suite, KERNEL_ENTRY_POINTS)
-    samples = []
-    for _ in range(RUNS):
-        start = time.perf_counter()
-        report = run_suite()
-        samples.append(round(time.perf_counter() - start, 4))
-        if not report.all_passed:
-            raise RuntimeError("verify at default limits failed")
+    samples, per_check = [], {cid: [] for cid in checks.CHECK_IDS}
+    real = dict(checks.REGISTRY)
+    for cid, check in real.items():
+        checks.REGISTRY[cid] = dataclasses.replace(check, cases=whole_loop(check.cases, per_check[cid]))
+    try:
+        for _ in range(RUNS):
+            start = time.perf_counter()
+            report = run_suite()
+            samples.append(round(time.perf_counter() - start, 4))
+            if not report.all_passed:
+                raise RuntimeError("verify at default limits failed")
+    finally:
+        checks.REGISTRY.update(real)
     return {"median_s": statistics.median(samples), "samples_s": samples,
-            "instances": report.total, "kernel_calls": calls}
+            "instances": report.total, "kernel_calls": calls,
+            "check_s": {cid: {"median_s": statistics.median(s), "samples_s": s}
+                        for cid, s in per_check.items()}}
 
 
 def tier1() -> dict:
