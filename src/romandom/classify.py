@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field
 
-from . import solvers
+from . import kernels, solvers
 from .errors import BondageCapError, GraphError, InvariantViolationError
-from .graphs import Graph, bits, delete_edges, delete_vertex, incident_edges, mask_of
+from .graphs import (Graph, bits, delete_edges, delete_vertex, incident_edges, is_forest, mask_of,
+                     rows_without)
 
 DECREASED = "decreased"
 UNCHANGED = "unchanged"
@@ -50,20 +51,45 @@ class Deletions:
     graph the differential must land exactly one below its old value; that
     shifted comparison is the class test (the unshifted one would contradict
     the identity tying the differential to gamma_R and the order).
+
+    A forest minus a vertex is a forest, which the kernels solve whole, so
+    on a forest each value, G's own included, is one kernel call on G's
+    rows (with row v taken out for G - v), and no graph is built.
     """
 
     def __init__(self, g: Graph, quantity: str, limit: int = DEFAULT_LIMIT):
         self._g, self._limit, self._values = g, limit, []
+        self._roman = quantity == ROMAN
         self._solve = {ROMAN: solvers.roman_domination_number,
                        DIFFERENTIAL: solvers.differential_value}[quantity]
-        self.base = self._solve(g, limit)
-        self._target = self.base if quantity == ROMAN else self.base - 1
+        self._forest = g.size < g.order and is_forest(g)  # the edge count screens first
+        if self._forest:
+            solvers._check_limit(g, limit)
+            self.base = self._forest_value(None)
+        else:
+            self.base = self._solve(g, limit)
+        self._target = self.base if self._roman else self.base - 1
+
+    def _forest_value(self, v: int | None) -> int:
+        """One kernel call on G's rows, with vertex v deleted unless v is None.
+        The rows are read from G each time, so a kept walk holds no copy."""
+        rows = self._g.closed_rows() if self._roman else self._g.open_rows()
+        if v is not None:
+            rows = rows_without(rows, v)
+        if self._roman:
+            return kernels.min_weight_cover(rows) + solvers._GAMMA_R_OFFSET
+        return kernels.max_differential(rows)
+
+    def _after(self, v: int) -> int:
+        if self._forest:
+            return self._forest_value(v)
+        return self._solve(delete_vertex(self._g, v)[0], self._limit)
 
     def __iter__(self):
         # by index, so interleaved iterators over one object stay correct
         for v in range(self._g.order):
             if v == len(self._values):
-                self._values.append(self._solve(delete_vertex(self._g, v)[0], self._limit))
+                self._values.append(self._after(v))
             yield self._values[v]
 
     def unchanged(self):

@@ -97,7 +97,7 @@ class Graph:
 
     @property
     def size(self) -> int:
-        return sum(r.bit_count() for r in self._adj) // 2
+        return sum(map(int.bit_count, self._adj)) // 2
 
     def degree_sequence(self) -> tuple[int, ...]:
         """Degrees in nonincreasing order."""
@@ -230,26 +230,22 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, adj)
 
 
+# graph6 character of six bits taken lowest first, so bit 0 is the first
+# (most significant) bit of the character
+_G6_CHARS = [chr(63 + int(f"{d:06b}"[::-1], 2)) for d in range(64)]
+
+
 def write_graph6(g: Graph) -> str:
     """graph6 line for graphs of order at most 62."""
     n = g.order
     if n > 62:
         raise GraphError("write_graph6 supports order <= 62")
-    out = [chr(63 + n)]
-    acc = 0
-    nacc = 0
-    for j in range(1, n):
-        for i in range(j):
-            acc = (acc << 1) | (g.adjacency_mask(i) >> j & 1)
-            nacc += 1
-            if nacc == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nacc = 0
-    if nacc:
-        acc <<= 6 - nacc
-        out.append(chr(63 + acc))
-    return "".join(out)
+    # bit j(j-1)/2 + i is the pair (i, j), i < j, in graph6 order
+    upper = 0
+    for j, row in enumerate(g._adj):
+        upper |= (row & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    chars = [_G6_CHARS[upper >> k & 63] for k in range(0, n * (n - 1) // 2, 6)]
+    return chr(63 + n) + "".join(chars)
 
 
 # -- neighborhood primitives ---------------------------------------------------
@@ -265,10 +261,7 @@ def private_neighbors(g: Graph, x: int, members: Iterable[int]) -> frozenset[int
         raise GraphError("set contains out-of-range vertices")
     if x < 0 or not xmask >> x & 1:
         raise GraphError(f"vertex {x} is not in the given set")
-    want = 1 << x
-    return frozenset(
-        y for y in bits(g.closed_mask(x)) if g.closed_mask(y) & xmask == want
-    )
+    return frozenset(bits(g.closed_mask(x) & ~g.closed_reach(xmask ^ 1 << x)))
 
 
 def boundary(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
@@ -298,9 +291,19 @@ def _relabelled(g: Graph, old_ids: Sequence[int]) -> Graph:
     return Graph(len(old_ids), rows)
 
 
+def rows_without(rows: Sequence[int], v: int) -> list[int]:
+    """Bitmask rows with vertex v deleted: row v goes, and every vertex
+    above v moves down by one."""
+    low = (1 << v) - 1
+    return [r & low | r >> 1 & ~low for r in rows[:v] + rows[v + 1:]]
+
+
 def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
     """Remove v, relabel the rest contiguously; returns the old-to-new map."""
-    return delete_vertices(g, (v,))
+    if not 0 <= v < g.order:
+        raise GraphError(f"vertex {v} not in graph of order {g.order}")
+    return (Graph(g.order - 1, rows_without(g._adj, v)),
+            {u: u - (u > v) for u in range(g.order) if u != v})
 
 
 def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:

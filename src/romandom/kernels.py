@@ -6,16 +6,20 @@ set when ``uv`` is an edge).  Vertex-set arguments and results are encoded
 as int bitmasks over vertex ids ``0..n-1``; mask lists are ascending
 unless a function says otherwise.
 
-On the symmetric rows of a forest, `min_weight_cover` and
-`max_differential` run linear programmes over the whole forest.  The first
-keeps four Roman states per vertex (labelled 2; labelled 1; labelled 0
-with a child labelled 2; labelled 0 and waiting for its parent), after
-Cockayne, Dreyer, Hedetniemi and Hedetniemi (Discrete Math. 278, 2004).
-The second keeps three open-row states of its own (in S; outside S with a
-child in S; outside S with no child in S), so the two still check each
-other.  On other rows they scan, and so do `min_cover_masks`,
-`max_differential_masks` and `efficient_dominating_masks`: subsets by
-size (`_levels`), never all ``2^n`` of them.
+On the symmetric rows of a forest, four kernels run programmes over the
+whole forest.  `min_weight_cover` keeps four Roman states per vertex
+(labelled 2; labelled 1; labelled 0 with a child labelled 2; labelled 0
+and waiting for its parent), after Cockayne, Dreyer, Hedetniemi and
+Hedetniemi (Discrete Math. 278, 2004).  `min_cover_masks` and
+`min_dominating_masks` run the same programme, the second with members
+that cost 1 and no label 1, and keep each state's ties: the masks of the
+subtree that attain its value (`_cover_ties`).  `max_differential` keeps
+three open-row states of its own (in S; outside S with a child in S;
+outside S with no child in S), so the two programmes still check each
+other.  On other rows these kernels scan or branch;
+`max_differential_masks` and `efficient_dominating_masks` always scan
+subsets by size (`_levels`), never all ``2^n`` of them, and
+`min_dominating_size` always branches.
 
 Each search stops at the first point that cannot change its answer.  A
 k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
@@ -27,7 +31,7 @@ k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
   `max_differential_masks` once ``n - 2k < best``;
 - `efficient_dominating_masks` grows a set only by a closed neighborhood
   disjoint from the ones it has;
-- the dominating-set kernels branch on the lowest uncovered vertex, trying
+- the dominating-set searches branch on the lowest uncovered vertex, trying
   each vertex whose row holds it in ascending order; later siblings never
   take an earlier one, so each set is reached once.  The size bound
   deepens k = 0, 1, ..., and a branch stops when its room times the widest
@@ -39,7 +43,7 @@ k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
 
 The tests check every kernel against a full ``2^n`` scan
 (``oracles.full_scan_kernel``), and each forest programme against the
-scans.
+scans and the ``3^n`` labelling oracle.
 
 The one canonical encoding of a graph is `canonical_signature`: the tuple
 of adjacency rows after relabelling by `canonical_permutation`.  It is a
@@ -90,12 +94,16 @@ _ROMAN_LEAF = (2, 1, _NEVER, 0)
 # The open-row states of a leaf: in S (it pays 1), outside S with a child
 # in S, outside S with no child in S.
 _OPEN_LEAF = (-1, -_NEVER, 0)
+# A dominating set is a Roman V2 whose members cost 1 and that leaves no
+# vertex to label 1: `min_weight_cover`'s programme with these leaf states.
+_DOMINATING_LEAF = (1, _NEVER, _NEVER, 0)
 
 
 def _forest(rows, loops):
-    """Parent links (-1 at a root) and a preorder of the forest whose
-    adjacency rows are ``rows``, each holding its own vertex when ``loops``;
-    None when the rows are not the symmetric rows of a forest.
+    """Parent links (-1 at a root) and a breadth-first order, parents before
+    children, of the forest whose adjacency rows are ``rows``, each holding
+    its own vertex when ``loops``; None when the rows are not the symmetric
+    rows of a forest.
 
     A row's own bit and its parent's bit are flipped off; a missing one is
     flipped on instead, and like a cycle it then meets a vertex already
@@ -104,16 +112,14 @@ def _forest(rows, loops):
     n = len(rows)
     _check_scan_order(n)
     parent = [-1] * n
-    preorder = []
+    order = []
     seen = 0
     for root in range(n):
         if seen >> root & 1:
             continue
         seen |= 1 << root
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
+        tree = [root]
+        for v in tree:  # the loop reaches the children it appends
             row = rows[v] ^ (loops << v)
             if parent[v] >= 0:
                 row ^= 1 << parent[v]
@@ -124,9 +130,55 @@ def _forest(rows, loops):
                 low = row & -row
                 u = low.bit_length() - 1
                 parent[u] = v
-                stack.append(u)
+                tree.append(u)
                 row ^= low
-    return parent, preorder
+        order += tree
+    return parent, order
+
+
+def _cover_ties(forest, leaf):
+    """The masks of the sets S of least weight on a forest, ascending: S
+    pays ``leaf[0]`` per member and ``leaf[1]`` per vertex outside N[S]
+    (none may be outside when that is ``_NEVER``).
+
+    The programme is `min_weight_cover`'s with the leaf states ``leaf``.
+    Each vertex also keeps, per state, the masks of its subtree that attain
+    the state's value: its ties.  A child is folded in by the transitions
+    that attain the parent state's new value, and a root takes the states
+    that need nothing from a parent.  A mask fixes the state of every
+    vertex, so no mask is reached twice.
+    """
+    parent, order = forest
+    n = len(parent)
+    two, one, zero, wait = ([state] * n for state in leaf)
+    twos, ones, zeros, waits = ([[1 << v] for v in range(n)], [[0] if leaf[1] < _NEVER else []] * n,
+                                [[]] * n, [[0]] * n)
+    out = [0]
+    for v in reversed(order):  # children before parents
+        t, o, z, w = two[v], one[v], zero[v], wait[v]
+        done = t if t < o and t < z else o if o < z else z
+        dones = twos[v] if t == done else []
+        if o == done:
+            dones = dones + ones[v]
+        if z == done:
+            dones = dones + zeros[v]
+        p = parent[v]
+        if p < 0:
+            out = [a | b for a in out for b in dones]
+            continue
+        a, b = zero[p] + done, wait[p] + t  # p's child labelled 2 is an earlier one, or v
+        zero[p] = a if a < b else b
+        zeros[p] = ([x | y for x in zeros[p] for y in dones] if a <= b else []) + (
+            [x | y for x in waits[p] for y in twos[v]] if b <= a else [])
+        two[p] += done if done < w else w
+        cover = dones if done < w else waits[v] if w < done else dones + waits[v]
+        twos[p] = [x | y for x in twos[p] for y in cover]
+        one[p] += done
+        ones[p] = [x | y for x in ones[p] for y in dones]
+        wait[p] += o if o < z else z
+        cover = ones[v] if o < z else zeros[v] if z < o else ones[v] + zeros[v]
+        waits[p] = [x | y for x in waits[p] for y in cover]
+    return sorted(out)
 
 
 def min_weight_cover(closed):
@@ -137,19 +189,23 @@ def min_weight_cover(closed):
     """
     forest = _forest(closed, True)
     if forest is not None:
-        parent, preorder = forest
+        parent, order = forest
         two, one, zero, wait = ([state] * len(closed) for state in _ROMAN_LEAF)
         best = 0
-        for v in reversed(preorder):  # children before parents
-            done = min(two[v], one[v], zero[v])  # v needs nothing from its parent
+        # the least of two or three values by comparisons: calls to min()
+        # cost this loop a third of its time
+        for v in reversed(order):  # children before parents
+            t, o, z, w = two[v], one[v], zero[v], wait[v]
+            done = t if t < o and t < z else o if o < z else z  # v needs nothing from its parent
             p = parent[v]
             if p < 0:
                 best += done
                 continue
-            zero[p] = min(zero[p] + done, wait[p] + two[v])
-            two[p] += min(done, wait[v])
+            a, b = zero[p] + done, wait[p] + t
+            zero[p] = a if a < b else b
+            two[p] += done if done < w else w
             one[p] += done
-            wait[p] += min(one[v], zero[v])
+            wait[p] += o if o < z else z
         return best
     n = len(closed)
     full = (1 << n) - 1
@@ -163,6 +219,9 @@ def min_weight_cover(closed):
 
 def min_cover_masks(closed):
     """All subsets attaining min_weight_cover."""
+    forest = _forest(closed, True)
+    if forest is not None:
+        return _cover_ties(forest, _ROMAN_LEAF)
     n = len(closed)
     full = (1 << n) - 1
     best, out = n, []
@@ -228,6 +287,9 @@ def min_dominating_size(closed):
 
 
 def min_dominating_masks(closed):
+    forest = _forest(closed, True)
+    if forest is not None:
+        return _cover_ties(forest, _DOMINATING_LEAF)
     return _dominating(closed, False)[1]
 
 
@@ -275,18 +337,21 @@ def max_differential(open_rows):
     """
     forest = _forest(open_rows, False)
     if forest is not None:
-        parent, preorder = forest
+        parent, order = forest
         inside, reached, free = ([state] * len(open_rows) for state in _OPEN_LEAF)
         best = 0
-        for v in reversed(preorder):  # children before parents
-            done = max(inside[v], reached[v], free[v])
+        for v in reversed(order):  # children before parents, max() as above
+            i, r, f = inside[v], reached[v], free[v]
+            most = r if r > f else f  # v outside S
+            done = i if i > most else most
             p = parent[v]
             if p < 0:
                 best += done
                 continue
-            reached[p] = max(reached[p] + done, free[p] + 1 + inside[v])
-            inside[p] += max(inside[v], reached[v], free[v] + 1)
-            free[p] += max(reached[v], free[v])
+            a, b = reached[p] + done, free[p] + 1 + i
+            reached[p] = a if a > b else b
+            inside[p] += done if done > f + 1 else f + 1
+            free[p] += most
         return best
     n = len(open_rows)
     best = 0  # S = empty

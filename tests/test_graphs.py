@@ -109,6 +109,17 @@ def test_graph6_long_length_fields():
             parse_graph6(truncated)
 
 
+def test_write_graph6_matches_networkx_to_order_62():
+    rng = random.Random(62)
+    for n in range(63):
+        for p in (0.1, 0.5):
+            g = random_graph(rng, n, p)
+            want = nx.to_graph6_bytes(to_networkx(g), header=False).decode("ascii").strip()
+            assert write_graph6(g) == want, (n, g.edges())
+    with pytest.raises(GraphError):
+        write_graph6(graphs.path_graph(63))
+
+
 def _path_graph6(n):
     """graph6 line of the path 0-1-...-(n-1), for 63 <= n < 258048: "~",
     the order in three 6-bit groups, then the upper triangle column by
@@ -162,6 +173,17 @@ def test_private_neighbors_inside_closed_neighborhood():
         pn = private_neighbors(g, x, members)
         closed = set(g.neighbors(x)) | {x}
         assert pn <= closed
+
+
+def test_private_neighbors_match_the_definition():
+    # y is a private neighbour of x when N[y] meets the set exactly in {x}
+    rng = random.Random(1811)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.4, 0.7)))
+        members = {v for v in range(g.order) if rng.random() < 0.4} or {0}
+        for x in members:
+            want = {y for y in range(g.order) if (set(g.neighbors(y)) | {y}) & members == {x}}
+            assert private_neighbors(g, x, members) == want, (g.edges(), members, x)
 
 
 def test_boundary_examples():

@@ -30,3 +30,29 @@ def test_thm_diff_i_fails_when_a_leaf_state_is_off_by_one(monkeypatch):
     # rises, and only on forests, so gamma_R + differential = n breaks
     monkeypatch.setattr(kernels, "_OPEN_LEAF", (0,) + kernels._OPEN_LEAF[1:])
     assert run_suite("THM-DIFF-I", SMALL).failures
+
+
+def _dropping_one_tie(monkeypatch, leaf):
+    # the forest programme for ``leaf`` loses its first optimal set
+    # whenever it has more than one
+    real = kernels._cover_ties
+
+    def dropping(forest, used):
+        masks = real(forest, used)
+        return masks[1:] if used == leaf and len(masks) > 1 else masks
+
+    monkeypatch.setattr(kernels, "_cover_ties", dropping)
+
+
+def test_thm_diff_ii_fails_when_the_v2_programme_drops_a_tie(monkeypatch):
+    # THM-DIFF-II matches the optimal V2 sets with the maximum-differential
+    # sets, which the size-ordered scans find
+    _dropping_one_tie(monkeypatch, kernels._ROMAN_LEAF)
+    assert run_suite("THM-DIFF-II", SMALL).failures
+
+
+def test_thm_un_fails_when_the_dominating_programme_drops_a_tie(monkeypatch):
+    # a tree with two minimum dominating sets then looks like one with a
+    # unique set, which the structural test denies
+    _dropping_one_tie(monkeypatch, kernels._DOMINATING_LEAF)
+    assert run_suite("THM-UN", SMALL).failures

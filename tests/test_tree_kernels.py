@@ -1,7 +1,10 @@
 """The tree-shaped kernels against independent answers: the branching
 dominating-set search against full 2^n scans, the forest programmes for
 γ_R and the differential against the size-ordered scans and the 3^n
-oracle, and THM-UN's pruned search against a walk over all k-subsets."""
+oracle, their tie programmes for optimal V2 sets and minimum dominating
+sets against full scans and the 3^n oracle, the deletion walk on forests
+against deleting and solving, and THM-UN's pruned search against a walk
+over all k-subsets."""
 
 import itertools
 import random
@@ -9,8 +12,10 @@ import tracemalloc
 
 import pytest
 
-from oracles import brute_differential, brute_gamma_r, full_scan_kernel
+from oracles import (brute_differential, brute_gamma_r, brute_gamma_r_functions,
+                     brute_min_dominating_sets, full_scan_kernel)
 from romandom import graphs, kernels, solvers, streams
+from romandom.classify import DIFFERENTIAL, ROMAN, Deletions
 from romandom.errors import LimitExceededError
 from romandom.graphs import build_graph, delete_vertex, private_neighbors
 
@@ -46,8 +51,9 @@ def differential(open_rows, mask):
 
 
 def assert_forest_values(g):
-    # the masks scans stay on the size-ordered levels, so their first mask
-    # gives the value the scans find
+    # max_differential_masks stays on the size-ordered levels, so its first
+    # mask gives the value the scans find; min_cover_masks runs the tie
+    # programme on forests, and the tie tests below pit it against full scans
     closed, open_rows = g.closed_rows(), g.open_rows()
     assert kernels.min_weight_cover(closed) == cover_weight(
         closed, kernels.min_cover_masks(closed)[0]), graphs.write_graph6(g)
@@ -157,5 +163,86 @@ def test_order_24_forests_solve_in_bounded_memory(make):
     big = make(25)
     for solve in (solvers.domination_number, solvers.roman_domination_number,
                   solvers.differential_value):
+        with pytest.raises(LimitExceededError):
+            solve(big, 30)
+
+
+TIE_KERNELS = ("min_cover_masks", "min_dominating_masks")
+
+
+def assert_ties_match_full_scan(g, names=TIE_KERNELS):
+    closed = g.closed_rows()
+    for name in names:
+        assert getattr(kernels, name)(closed) == full_scan_kernel(name, closed), (
+            name, graphs.write_graph6(g))
+
+
+def test_v2_ties_match_full_scan_on_every_tree_to_order_12():
+    # min_dominating_masks on these trees is checked by the branching test
+    # above, which now runs its tie programme
+    for t in trees_upto(12):
+        assert_ties_match_full_scan(t, ("min_cover_masks",))
+
+
+def test_ties_match_full_scan_on_every_tree_minus_a_vertex_to_order_10():
+    for t in trees_upto(10):
+        for v in range(t.order):
+            assert_ties_match_full_scan(delete_vertex(t, v)[0])
+
+
+def test_ties_match_full_scan_on_random_forests_to_order_13():
+    rng = random.Random(1813)
+    for n in range(14):
+        for _ in range(4):
+            assert_ties_match_full_scan(random_forest(rng, n))
+
+
+def test_ties_match_the_three_to_the_n_oracle_to_order_9():
+    rng = random.Random(1819)
+    for n in range(1, 10):
+        for _ in range(3):
+            g = random_forest(rng, n)
+            closed = g.closed_rows()
+            v2s = sorted(graphs.mask_of(v2) for _, _, v2 in brute_gamma_r_functions(g))
+            assert kernels.min_cover_masks(closed) == v2s, graphs.write_graph6(g)
+            doms = sorted(graphs.mask_of(d) for d in brute_min_dominating_sets(g))
+            assert kernels.min_dominating_masks(closed) == doms, graphs.write_graph6(g)
+
+
+SOLVERS = {ROMAN: solvers.roman_domination_number, DIFFERENTIAL: solvers.differential_value}
+
+
+@pytest.mark.parametrize("fault", [None, solvers.FAULT_GAMMA_R_PLUS_ONE])
+def test_forest_walk_matches_deleting_and_solving(fault):
+    rng = random.Random(1816)
+    forests = trees_upto(12) + [random_forest(rng, n) for n in range(1, 17) for _ in range(3)]
+    solvers.set_fault_injection(fault)
+    try:
+        for g in forests:
+            for quantity, solve in SOLVERS.items():
+                walk = Deletions(g, quantity)
+                assert walk.base == solve(g)
+                assert list(walk) == [solve(delete_vertex(g, v)[0]) for v in range(g.order)], (
+                    quantity, graphs.write_graph6(g))
+    finally:
+        solvers.set_fault_injection(None)
+
+
+@pytest.mark.parametrize("make", [graphs.path_graph, graphs.star])
+def test_order_24_forests_enumerate_in_bounded_memory(make):
+    g = make(24)
+    tracemalloc.start()
+    try:
+        v2s = solvers.optimal_v2_sets(g, 24)
+        doms = solvers.minimum_dominating_sets(g, 24).all_min_sets
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # P24 has one optimal V2 and one minimum dominating set, {1, 4, ..., 22}
+    want = [frozenset(range(1, 24, 3))] if make is graphs.path_graph else [frozenset({0})]
+    assert (v2s, list(doms)) == (want, want)
+    assert peak < 256 * 1024
+    big = make(25)
+    for solve in (solvers.optimal_v2_sets, solvers.minimum_dominating_sets):
         with pytest.raises(LimitExceededError):
             solve(big, 30)
