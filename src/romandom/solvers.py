@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import GraphError, LimitExceededError
-from .graphs import Graph, bits, connected_components, is_forest, is_tree, mask_of, private_neighbors
+from .graphs import (Graph, bits, connected_components, is_connected, is_forest, is_tree, mask_of,
+                     private_neighbors)
 
 DEFAULT_EXACT_LIMIT = 20
 SWEEP_EXACT_LIMIT = 16
@@ -94,13 +95,16 @@ def _component_value(g: Graph, limit: int, kernel, rows) -> int:
 def _component_sets(g: Graph, limit: int, kernel, rows) -> list[frozenset[int]]:
     """Every union of one kernel mask per component, in global vertex ids,
     lexicographic by sorted vertex list.  Empty when some component has no
-    mask."""
+    mask.  A connected graph's masks are already in its own ids."""
     _check_limit(g, limit)
-    per_comp = [
-        [frozenset(old_ids[i] for i in bits(m)) for m in kernel(rows(comp))]
-        for comp, old_ids in connected_components(g)
-    ]
-    sets = [frozenset().union(*combo) for combo in itertools.product(*per_comp)]
+    if is_connected(g):
+        sets = [frozenset(bits(m)) for m in kernel(rows(g))]
+    else:
+        per_comp = [
+            [frozenset(old_ids[i] for i in bits(m)) for m in kernel(rows(comp))]
+            for comp, old_ids in connected_components(g)
+        ]
+        sets = [frozenset().union(*combo) for combo in itertools.product(*per_comp)]
     sets.sort(key=lambda s: tuple(sorted(s)))
     return sets
 

@@ -7,6 +7,7 @@ streams yield verbatim.  Everything is lazy so sweeps can stop early.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Iterator
 
 from . import kernels
@@ -36,59 +37,102 @@ class InstanceStream:
 
 # -- free trees ----------------------------------------------------------------
 #
-# Rooted trees are produced as canonical level sequences by the classic
-# successor rule.  In a level sequence the root's children sit at the 1s,
-# so the sizes of the root-child subtrees are the gaps between consecutive
-# 1s, the last gap running to n.  The root is a centroid exactly when no gap
-# exceeds n // 2; every other sequence is skipped on that test alone, before
-# any rows are built.  When n is even and one gap equals n / 2, the child
-# opening it is the second centroid, and the sequence is kept only if it is
-# not smaller than the tree's level sequence rooted there, so each free tree
-# survives once.
+# A rooted tree is written as its level sequence, one byte per vertex: the
+# root's 0, then each child subtree's sequence one level down.  In the
+# canonical sequence the child subtrees come in non-increasing order.  A
+# child's sequence holds a 1 only at its start, so comparing two sequences
+# compares their first children, then the next, and so on, a proper prefix
+# coming first.  `_sequences` therefore yields every canonical sequence of a
+# given size, largest first, by taking each child in turn from a descending
+# catalogue of rooted trees, starting at the index its left sibling took.
+# `_rooted_catalogue` builds that catalogue size by size with the same step,
+# each child smaller than its parent.
+#
+# Free trees are rooted at a centroid: every child has at most n // 2
+# vertices, so each sequence composed is a centroid rooting and none is
+# thrown away for its root.  When n is even and a child has n / 2 vertices,
+# that child is the second centroid, and the sequence is kept only if it is
+# not smaller than the tree's sequence rooted there, so each free tree comes
+# out once.
+
+# Translation tables adding 1 to, and taking 1 from, every depth.
+_DEEPER = bytes(range(1, 256)) + b"\x00"
+_SHALLOWER = b"\x00" + bytes(range(255))
 
 
-def _level_sequences(n: int) -> Iterator[list[int]]:
+def _children(catalogue: list[bytes], fits: list[list[int]], room: int, start: int
+              ) -> Iterator[bytes]:
+    """Every concatenation of catalogue entries with ``room`` vertices in all,
+    the entry indices non-decreasing from ``start``, in descending order.
+    ``fits[r]`` lists, ascending, the indices of the entries of at most r
+    vertices."""
+    entries = fits[room]
+    for k in range(bisect_left(entries, start), len(entries)):
+        j = entries[k]
+        child = catalogue[j]
+        left = room - len(child)
+        if left:
+            for rest in _children(catalogue, fits, left, j):
+                yield child + rest
+        else:
+            yield child
+
+
+def _sequences(catalogue: list[bytes], n: int) -> Iterator[bytes]:
+    """Every canonical level sequence of n vertices whose root children are
+    catalogue entries, in descending order."""
     if n == 1:
-        yield [0]
+        yield b"\x00"
         return
-    seq = list(range(n))
-    while True:
-        yield seq
-        p = None
-        for i in range(n - 1, -1, -1):
-            if seq[i] >= 2:
-                p = i
-                break
-        if p is None:
-            return
-        q = next(i for i in range(p - 1, -1, -1) if seq[i] == seq[p] - 1)
-        d = p - q
-        for i in range(p, n):
-            seq[i] = seq[i - d]
+    fits = [[j for j, child in enumerate(catalogue) if len(child) <= room]
+            for room in range(n)]
+    for body in _children(catalogue, fits, n - 1, 0):
+        yield b"\x00" + body
+
+
+def _rooted_catalogue(top: int) -> list[bytes]:
+    """The canonical level sequence, one level down, of every rooted tree of
+    at most ``top`` vertices, in descending order."""
+    catalogue: list[bytes] = []
+    for size in range(1, top + 1):
+        catalogue += [seq.translate(_DEEPER) for seq in _sequences(catalogue, size)]
+        catalogue.sort(reverse=True)
+    return catalogue
+
+
+def _tree_rows(seq: bytes) -> list[int]:
+    """Bitmask rows of the tree with level sequence ``seq``, vertex i at
+    position i."""
+    n = len(seq)
+    rows = [0] * n
+    last_at = [0] * n  # last_at[d]: the latest vertex at depth d
+    for v in range(1, n):
+        p = last_at[seq[v] - 1]
+        rows[v] = 1 << p
+        rows[p] |= 1 << v
+        last_at[seq[v]] = v
+    return rows
+
+
+def _not_below_twin(seq: bytes) -> bool:
+    """For a centroid-rooted level sequence of even length n: whether it is
+    not smaller than the tree's sequence rooted at the root child with n / 2
+    vertices, if there is one; that child's subtree covers position n / 2.
+    The two halves are the child's subtree A, each depth less one, and the
+    rest B of the sequence; the root's sequence is not the smaller exactly
+    when A >= B, which the tests check on every sequence to order 16."""
+    half = len(seq) // 2
+    twin = seq.rfind(1, 0, half + 1)
+    end = seq.find(1, half + 1)
+    if (len(seq) if end < 0 else end) - twin != half:
+        return True
+    return seq[twin:twin + half].translate(_SHALLOWER) >= seq[:twin] + seq[twin + half:]
 
 
 def _iter_free_trees(n: int) -> Iterator[Graph]:
-    half = n // 2
-    for seq in _level_sequences(n):
-        # The gaps between the 1s, right to left; stop at one above n // 2.
-        end, twin = n, None
-        for i in range(n - 1, 0, -1):
-            if seq[i] == 1:
-                if end - i > half:
-                    break
-                if 2 * (end - i) == n:
-                    twin = i
-                end = i
-        else:
-            rows = [0] * n
-            last_at = [0] * n  # last_at[d]: the latest vertex at depth d
-            for v in range(1, n):
-                p = last_at[seq[v] - 1]
-                rows[v] = 1 << p
-                rows[p] |= 1 << v
-                last_at[seq[v]] = v
-            if twin is None or seq >= _rooted_code(rows, twin):
-                yield Graph(n, rows)
+    for seq in _sequences(_rooted_catalogue(n // 2), n):
+        if n & 1 or _not_below_twin(seq):
+            yield Graph(n, _tree_rows(seq))
 
 
 def free_trees(n: int) -> InstanceStream:

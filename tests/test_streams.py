@@ -23,6 +23,39 @@ def test_free_tree_counts_match_published():
         assert sum(1 for _ in free_trees(n)) == FREE_TREE_COUNTS[n], n
 
 
+# OEIS A000081: rooted trees on 0, 1, ..., 8 vertices.
+ROOTED_TREE_COUNTS = (0, 1, 1, 2, 4, 9, 20, 48, 115)
+
+
+def test_rooted_catalogue_matches_published_counts():
+    catalogue = streams._rooted_catalogue(8)
+    sizes = [len(code) for code in catalogue]
+    assert [sizes.count(k) for k in range(1, 9)] == list(ROOTED_TREE_COUNTS[1:])
+    assert catalogue == sorted(set(catalogue), reverse=True)
+    # Each entry is its tree's canonical sequence, one level down.
+    for code in catalogue:
+        seq = bytes(d - 1 for d in code)
+        assert bytes(d + 1 for d in graphs._rooted_code(streams._tree_rows(seq), 0)) == code
+
+
+def test_bicentroid_tie_break_matches_rooted_code():
+    # Every sequence composed to order 16; here the second centroid is the
+    # root child whose gap to the next 1 (or the end) is n / 2.
+    for n in range(2, 17, 2):
+        bicentroidal = 0
+        for seq in streams._sequences(streams._rooted_catalogue(n // 2), n):
+            starts = [i for i in range(1, n) if seq[i] == 1] + [n]
+            twins = [a for a, b in zip(starts, starts[1:]) if 2 * (b - a) == n]
+            if not twins:
+                assert streams._not_below_twin(seq), seq
+                continue
+            bicentroidal += 1
+            rooted_there = graphs._rooted_code(streams._tree_rows(seq), twins[0])
+            assert streams._not_below_twin(seq) == (list(seq) >= rooted_there), seq
+        # Each ordered pair of rooted halves is composed once.
+        assert bicentroidal == ROOTED_TREE_COUNTS[n // 2] ** 2, n
+
+
 def test_free_trees_are_trees_and_distinct():
     for n in range(1, 9):
         trees = list(free_trees(n))
