@@ -98,7 +98,10 @@ def _component_sets(g: Graph, limit: int, kernel, rows) -> list[frozenset[int]]:
     mask.  A connected graph's masks are already in its own ids."""
     _check_limit(g, limit)
     if is_connected(g):
-        sets = [frozenset(bits(m)) for m in kernel(rows(g))]
+        # Through a set: a frozenset copied from a set is sized for its
+        # members, one grown bit by bit keeps a larger table, and the
+        # solver caches hold thousands of these.
+        sets = [frozenset(set(bits(m))) for m in kernel(rows(g))]
     else:
         per_comp = [
             [frozenset(old_ids[i] for i in bits(m)) for m in kernel(rows(comp))]

@@ -38,22 +38,18 @@ class InstanceStream:
 # -- free trees ----------------------------------------------------------------
 #
 # A rooted tree is written as its level sequence, one byte per vertex: the
-# root's 0, then each child subtree's sequence one level down.  In the
-# canonical sequence the child subtrees come in non-increasing order.  A
-# child's sequence holds a 1 only at its start, so comparing two sequences
-# compares their first children, then the next, and so on, a proper prefix
-# coming first.  `_sequences` therefore yields every canonical sequence of a
-# given size, largest first, by taking each child in turn from a descending
-# catalogue of rooted trees, starting at the index its left sibling took.
-# `_rooted_catalogue` builds that catalogue size by size with the same step,
-# each child smaller than its parent.
+# root's 0, then each child subtree's sequence one level down, the children
+# in non-increasing order.  A child's sequence holds a 1 only at its start,
+# so two sequences compare by their first children, then the next, and so
+# on, a proper prefix first.  `_sequences` therefore yields the sequences of
+# one size in descending order by taking each child from a descending
+# catalogue, at or after the index its left sibling took; the catalogue is
+# built size by size the same way.
 #
-# Free trees are rooted at a centroid: every child has at most n // 2
-# vertices, so each sequence composed is a centroid rooting and none is
-# thrown away for its root.  When n is even and a child has n / 2 vertices,
-# that child is the second centroid, and the sequence is kept only if it is
-# not smaller than the tree's sequence rooted there, so each free tree comes
-# out once.
+# Free trees take children of at most n // 2 vertices, so every sequence
+# composed is rooted at a centroid.  When n is even and a child has n / 2
+# vertices, it is the second centroid, and the sequence is kept only if it
+# is not smaller than the tree's sequence rooted there.
 
 # Translation tables adding 1 to, and taking 1 from, every depth.
 _DEEPER = bytes(range(1, 256)) + b"\x00"
