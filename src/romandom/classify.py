@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 
 from . import kernels, solvers
 from .errors import BondageCapError, GraphError, InvariantViolationError
-from .graphs import (Graph, bits, delete_edges, delete_vertex, incident_edges, is_forest, mask_of,
-                     rows_without)
+from .graphs import (Graph, bits, connected_components, delete_edges, delete_vertex, incident_edges,
+                     is_forest, mask_of, rows_without)
 
 DECREASED = "decreased"
 UNCHANGED = "unchanged"
@@ -45,7 +45,7 @@ def _effect(base: int, after: int, v: int) -> str:
 
 class Deletions:
     """gamma_R or the differential of G - v for v = 0, 1, ...; each value is
-    solved the first time any reader reaches it, then kept.
+    kept once solved.
 
     Deleting a vertex shrinks the order by one, so on a differential-stable
     graph the differential must land exactly one below its old value; that
@@ -54,20 +54,25 @@ class Deletions:
 
     A forest minus a vertex is a forest, which the kernels solve whole, so
     on a forest each value, G's own included, is one kernel call on G's
-    rows (with row v taken out for G - v), and no graph is built.
+    rows (with row v taken out for G - v), solved when a reader first
+    reaches it, and no graph is built.  On a graph with a cycle, one
+    deletion-kernel scan per component gives G's value and every G - v
+    value at once (`_profile`); a value it leaves unproven, which then lies
+    more than one from the class test's value, is solved on G - v when a
+    reader first reaches it.
     """
 
     def __init__(self, g: Graph, quantity: str, limit: int = DEFAULT_LIMIT):
-        self._g, self._limit, self._values = g, limit, []
+        self._g, self._limit = g, limit
         self._roman = quantity == ROMAN
         self._solve = {ROMAN: solvers.roman_domination_number,
                        DIFFERENTIAL: solvers.differential_value}[quantity]
         self._forest = g.size < g.order and is_forest(g)  # the edge count screens first
+        solvers._check_limit(g, limit)
         if self._forest:
-            solvers._check_limit(g, limit)
-            self.base = self._forest_value(None)
+            self.base, self._values = self._forest_value(None), []
         else:
-            self.base = self._solve(g, limit)
+            self.base, self._values = self._profile()
         self._target = self.base if self._roman else self.base - 1
 
     def _forest_value(self, v: int | None) -> int:
@@ -80,16 +85,31 @@ class Deletions:
             return kernels.min_weight_cover(rows) + solvers._GAMMA_R_OFFSET
         return kernels.max_differential(rows)
 
-    def _after(self, v: int) -> int:
-        if self._forest:
-            return self._forest_value(v)
-        return self._solve(delete_vertex(self._g, v)[0], self._limit)
+    def _profile(self) -> tuple[int, list[int | None]]:
+        """G's value and every G - v value, from one deletion-kernel call per
+        component C of G.  G - v is G with C swapped for C - v, so its value
+        is base - value(C) + value(C - v), and the fault offset in base
+        counts once.  None where the kernel left C - v unproven."""
+        if self._roman:
+            kernel, rows = kernels.min_weight_cover_deletions, Graph.closed_rows
+        else:
+            kernel, rows = kernels.max_differential_deletions, Graph.open_rows
+        parts = [(old_ids, *kernel(rows(comp))) for comp, old_ids in connected_components(self._g)]
+        base = sum(own for _, own, _ in parts) + (solvers._GAMMA_R_OFFSET if self._roman else 0)
+        values = [None] * self._g.order
+        for old_ids, own, afters in parts:
+            for v, after in zip(old_ids, afters):
+                if after is not None:
+                    values[v] = base - own + after
+        return base, values
 
     def __iter__(self):
         # by index, so interleaved iterators over one object stay correct
         for v in range(self._g.order):
-            if v == len(self._values):
-                self._values.append(self._after(v))
+            if v == len(self._values):  # a forest's values come one at a time
+                self._values.append(self._forest_value(v))
+            elif self._values[v] is None:
+                self._values[v] = self._solve(delete_vertex(self._g, v)[0], self._limit)
             yield self._values[v]
 
     def unchanged(self):

@@ -21,6 +21,14 @@ other.  On other rows these kernels scan or branch;
 subsets by size (`_levels`), never all ``2^n`` of them, and
 `min_dominating_size` always branches.
 
+Two deletion kernels answer a graph and each of its one-vertex deletions
+from one level scan: `min_weight_cover_deletions` and
+`max_differential_deletions` return G's value and, for every v, the value
+of the rows with row v taken out.  A k-subset S that avoids v is a k-subset
+of G - v, whose weight there is one less exactly when v lies outside
+N[S], and whose differential is one less exactly when v lies in B(S).
+They keep separate loops and bounds, so they too check each other.
+
 Each search stops at the first point that cannot change its answer.  A
 k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
 ``|B(S)| - k <= n - 2k``, so:
@@ -29,6 +37,12 @@ k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
   ``2k > best`` (ties still count);
 - `max_differential` stops once ``n - 2k <= best`` and
   `max_differential_masks` once ``n - 2k < best``;
+- the deletion kernels stop once G's value is proven and so is every
+  G - v value within one of the class test's value: ``best - 1`` to
+  ``best + 1`` for the Roman weight, ``best - 2`` to ``best`` for the
+  differential (a G - v has order n - 1).  A G - v value is proven once no
+  later level can beat it, at most ``2k + 2`` or at least ``n - 2k - 3``;
+  one not proven by then comes back None;
 - `efficient_dominating_masks` grows a set only by a closed neighborhood
   disjoint from the ones it has;
 - the dominating-set searches branch on the lowest uncovered vertex, trying
@@ -217,6 +231,54 @@ def min_weight_cover(closed):
     return best
 
 
+def _members(mask):
+    """The vertices of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def min_weight_cover_deletions(closed):
+    """``(min_weight_cover(closed), afters)`` from one level scan, where
+    ``afters[v]`` is ``min_weight_cover(rows_without(closed, v))``, or None
+    where the scan stopped before proving it.
+
+    A k-subset S that avoids v is a k-subset of G - v, and its weight 2k + c
+    there (c = |V - N[S]|) is one less exactly when v lies outside N[S].
+    So the subsets of cost c offer 2k + c - 1 to the vertices outside their
+    N[S] (the better offer) and 2k + c to those in N[S] - S (the plain
+    offer).  A vertex takes its offer from the cheapest group that reaches
+    it.  A group is read only while its better offer can lower some value
+    and is at most ``best + 2``, so a value above ``best + 2`` may be too
+    high and comes back None.  Later levels offer at least 2k + 2, so a
+    value is proven once it is at most that.
+    """
+    n = len(closed)
+    full = (1 << n) - 1
+    best, after = n, [n - 1] * n  # S = empty: every vertex pays 1
+    for k, level in enumerate(_levels(closed)):
+        costs = [(full & ~u).bit_count() for _, u in level]
+        low = min(costs)
+        best = min(best, 2 * k + low)
+        top = min(max(after, default=0), best + 3) - 2 * k + 1  # read the costs below top
+        outside, plain = [0] * (top - low), [0] * (top - low)
+        for c, m, u in [(c, m, u) for (m, u), c in zip(level, costs) if c < top]:
+            outside[c - low] |= ~u
+            plain[c - low] |= u & ~m
+        settled = 0
+        for c, o, p in zip(range(2 * k + low, 2 * k + top), outside, plain):
+            o &= full & ~settled
+            for v in _members(o | p & ~settled):
+                after[v] = min(after[v], c - (o >> v & 1))
+            settled |= o | p
+        floor = 2 * k + 2  # the least a later level offers G or any G - v
+        if floor >= best and floor >= min(max(after, default=0), best + 2):
+            break
+    proven = min(floor, best + 2)
+    return best, [a if a <= proven else None for a in after]
+
+
 def min_cover_masks(closed):
     """All subsets attaining min_weight_cover."""
     forest = _forest(closed, True)
@@ -362,6 +424,47 @@ def max_differential(open_rows):
     return best
 
 
+def max_differential_deletions(open_rows):
+    """``(max_differential(open_rows), afters)`` from one level scan, where
+    ``afters[v]`` is ``max_differential(rows_without(open_rows, v))``, or
+    None where the scan stopped before proving it.
+
+    Its own loop and bounds, not `min_weight_cover_deletions` mirrored, so
+    the two still check each other.  A k-subset S that avoids v keeps its
+    differential d = |B(S)| - k in G - v unless v is in B(S), where it
+    loses one.  So the subsets of gain |B(S)| = g offer g - k to the
+    vertices outside S and B(S) and g - k - 1 to those in B(S).  A vertex
+    takes its offer from the highest group that reaches it.  A group is read
+    only while its offer g - k can raise some value and is at least
+    ``best - 3``, so a value below ``best - 3`` may be too low and comes
+    back None.  A later level offers any G - v at most n - 2k - 3, so a
+    value is proven once it is at least that.
+    """
+    n = len(open_rows)
+    full = (1 << n) - 1
+    best, after = 0, [0] * n  # S = empty
+    for k, level in enumerate(_levels(open_rows)):
+        gains = [(u & ~m).bit_count() for m, u in level]
+        high = max(gains)
+        best = max(best, high - k)
+        floor = max(min(after, default=0), best - 4) + k  # read the gains above floor
+        hits, missed = [0] * (high - floor), [0] * (high - floor)  # index: high - g
+        for g, m, u in [(g, m, u) for (m, u), g in zip(level, gains) if g > floor]:
+            hits[high - g] |= u & ~m
+            missed[high - g] |= ~(u | m)
+        settled = 0
+        for d, h, o in zip(range(high - k, floor - k, -1), hits, missed):
+            o &= full & ~settled
+            for v in _members(o | h & ~settled):
+                after[v] = max(after[v], d - 1 + (o >> v & 1))
+            settled |= o | h
+        ceiling = n - 2 * k - 3  # the most a later level offers any G - v
+        if ceiling <= best - 1 and ceiling <= max(min(after, default=0), best - 3):
+            break
+    proven = max(ceiling, best - 3)
+    return best, [a if a >= proven else None for a in after]
+
+
 def max_differential_masks(open_rows):
     n = len(open_rows)
     best, out = 0, []
@@ -395,12 +498,24 @@ def canonical_permutation(rows):
     The restriction to degree-sorted placements is isomorphism-invariant, so
     equal canonical strings still characterize isomorphism; it just prunes
     the search.
+
+    Twins, vertices with the same open row or the same closed row, prune it
+    further: a candidate v is skipped while a twin u < v is unused.  The
+    swap of u and v is an automorphism that fixes the placed prefix, so v's
+    subtree offers only the strings u's subtree, searched first, already
+    did, and the strict ``<`` keeps the first permutation found.
     """
     n = len(rows)
     if n <= 1:
         return list(range(n))
     deg = [r.bit_count() for r in rows]
     posdeg = _position_degrees(rows)
+    twins = [0] * n  # twins[v]: the mask of v's twins below v
+    first = {}
+    for v, row in enumerate(rows):
+        for key in ((row, 0), (row | 1 << v, 1)):
+            twins[v] |= first.get(key, 0)
+            first[key] = first.get(key, 0) | 1 << v
 
     perm = [0] * n
     cur = [0] * n
@@ -419,7 +534,7 @@ def canonical_permutation(rows):
         want = posdeg[pos]
         cands = []
         for v in range(n):
-            if used >> v & 1 or deg[v] != want:
+            if used >> v & 1 or deg[v] != want or twins[v] & ~used:
                 continue
             col = 0
             row = rows[v]

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import networkx as nx
@@ -354,6 +355,25 @@ def test_canonical_form_separates():
 def test_canonical_form_order_cap():
     with pytest.raises(LimitExceededError):
         canonical_form(graphs.path_graph(11))
+
+
+@pytest.mark.parametrize("g", [graphs.complete_graph(10), graphs.edgeless_graph(10),
+                               graphs.star(10), graphs.complete_bipartite(5, 5)],
+                         ids=["K10", "edgeless10", "star9", "K5,5"])
+def test_canonical_form_at_the_order_cap_on_twin_rich_graphs(g):
+    # every vertex has a twin (same open or same closed row), which without
+    # pruning makes the search try every placement of a twin class
+    rng = random.Random(g.size)
+    want = None
+    for _ in range(4):
+        perm = list(range(g.order))
+        rng.shuffle(perm)
+        start = time.perf_counter()
+        form = canonical_form(permute(g, perm))
+        assert time.perf_counter() - start < 1.0
+        assert want in (None, form)
+        want = form
+    assert nx.is_isomorphic(to_networkx(g), to_networkx(parse_graph6(want.decode("ascii"))))
 
 
 def test_are_isomorphic():

@@ -1,6 +1,8 @@
 """Checks that a broken helper must fail: each mutant is monkeypatched into
 the package and the check it names must report failures."""
 
+import inspect
+
 from romandom import checks, kernels, solvers
 from romandom.checks import Limits, run_suite
 from romandom.graphs import private_neighbors
@@ -56,3 +58,33 @@ def test_thm_un_fails_when_the_dominating_programme_drops_a_tie(monkeypatch):
     # unique set, which the structural test denies
     _dropping_one_tie(monkeypatch, kernels._DOMINATING_LEAF)
     assert run_suite("THM-UN", SMALL).failures
+
+
+def _mutated(monkeypatch, name, old, new):
+    # the kernel ``name`` rebuilt from its source with ``old`` replaced by
+    # ``new``; a kernel edit that drops ``old`` fails here, not silently
+    source = inspect.getsource(getattr(kernels, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(kernels))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(kernels, name, namespace[name])
+
+
+def test_lem_minus_fails_when_the_plain_offer_beats_the_better_one(monkeypatch):
+    # a vertex outside N[S] for one subset of a group and in N[S] - S for
+    # another takes the plain offer: some gamma_R(G - v) reads one too high
+    _mutated(monkeypatch, "min_weight_cover_deletions", "c - (o >> v & 1)",
+             "c - (o >> v & 1 and not p >> v & 1)")
+    assert run_suite("LEM-MINUS", SMALL).failures
+
+
+def test_eq1_fails_when_the_roman_deletion_scan_stops_a_level_early(monkeypatch):
+    # gamma_R of a graph with a cycle is taken before it is proven
+    _mutated(monkeypatch, "min_weight_cover_deletions", "floor = 2 * k + 2", "floor = 2 * k + 4")
+    assert run_suite("EQ1", SMALL).failures
+
+
+def test_thm_diff_i_fails_when_the_differential_deletion_scan_stops_a_level_early(monkeypatch):
+    _mutated(monkeypatch, "max_differential_deletions", "ceiling = n - 2 * k - 3",
+             "ceiling = n - 2 * k - 5")
+    assert run_suite("THM-DIFF-I", SMALL).failures

@@ -50,7 +50,8 @@ UNICYCLIC_ORDERS = range(3, 11)
 KERNEL_ENTRY_POINTS = (
     "min_weight_cover", "min_cover_masks", "min_dominating_size", "min_dominating_masks",
     "max_differential", "max_differential_masks", "efficient_dominating_masks",
-    "private_dominating_masks", "canonical_permutation", "canonical_signature", "connected_canonical_signatures",
+    "min_weight_cover_deletions", "max_differential_deletions", "private_dominating_masks",
+    "canonical_permutation", "canonical_signature", "connected_canonical_signatures",
 )
 
 TIMINGS = {
