@@ -248,11 +248,11 @@ def min_weight_cover_deletions(closed):
     there (c = |V - N[S]|) is one less exactly when v lies outside N[S].
     So the subsets of cost c offer 2k + c - 1 to the vertices outside their
     N[S] (the better offer) and 2k + c to those in N[S] - S (the plain
-    offer).  A vertex takes its offer from the cheapest group that reaches
-    it.  A group is read only while its better offer can lower some value
-    and is at most ``best + 2``, so a value above ``best + 2`` may be too
-    high and comes back None.  Later levels offer at least 2k + 2, so a
-    value is proven once it is at most that.
+    offer), and a vertex keeps the least offer it gets.  A cost group is
+    read only while its better offer can lower some value and is at most
+    ``best + 2``, so a value above ``best + 2`` may be too high and comes
+    back None.  Later levels offer at least 2k + 2, so a value is proven
+    once it is at most that.
     """
     n = len(closed)
     full = (1 << n) - 1
@@ -266,12 +266,10 @@ def min_weight_cover_deletions(closed):
         for c, m, u in [(c, m, u) for (m, u), c in zip(level, costs) if c < top]:
             outside[c - low] |= ~u
             plain[c - low] |= u & ~m
-        settled = 0
         for c, o, p in zip(range(2 * k + low, 2 * k + top), outside, plain):
-            o &= full & ~settled
-            for v in _members(o | p & ~settled):
+            o &= full
+            for v in _members(o | p):
                 after[v] = min(after[v], c - (o >> v & 1))
-            settled |= o | p
         floor = 2 * k + 2  # the least a later level offers G or any G - v
         if floor >= best and floor >= min(max(after, default=0), best + 2):
             break
@@ -433,9 +431,9 @@ def max_differential_deletions(open_rows):
     the two still check each other.  A k-subset S that avoids v keeps its
     differential d = |B(S)| - k in G - v unless v is in B(S), where it
     loses one.  So the subsets of gain |B(S)| = g offer g - k to the
-    vertices outside S and B(S) and g - k - 1 to those in B(S).  A vertex
-    takes its offer from the highest group that reaches it.  A group is read
-    only while its offer g - k can raise some value and is at least
+    vertices outside S and B(S) and g - k - 1 to those in B(S), and a
+    vertex keeps the highest offer it gets.  A gain group is read only
+    while its offer g - k can raise some value and is at least
     ``best - 3``, so a value below ``best - 3`` may be too low and comes
     back None.  A later level offers any G - v at most n - 2k - 3, so a
     value is proven once it is at least that.
@@ -452,12 +450,10 @@ def max_differential_deletions(open_rows):
         for g, m, u in [(g, m, u) for (m, u), g in zip(level, gains) if g > floor]:
             hits[high - g] |= u & ~m
             missed[high - g] |= ~(u | m)
-        settled = 0
         for d, h, o in zip(range(high - k, floor - k, -1), hits, missed):
-            o &= full & ~settled
-            for v in _members(o | h & ~settled):
+            o &= full
+            for v in _members(o | h):
                 after[v] = max(after[v], d - 1 + (o >> v & 1))
-            settled |= o | h
         ceiling = n - 2 * k - 3  # the most a later level offers any G - v
         if ceiling <= best - 1 and ceiling <= max(min(after, default=0), best - 3):
             break
