@@ -129,8 +129,16 @@ def _v2_sets(g: Graph) -> tuple[frozenset[int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _min_dom(g: Graph) -> solvers.DominationSummary:
-    return solvers.minimum_dominating_sets(g, LIMIT)
+def _min_dom(t: Graph) -> tuple[int, ...]:
+    """The minimum dominating sets of a tree as masks, ascending."""
+    solvers._check_limit(t, LIMIT)
+    return tuple(kernels.min_dominating_masks(t.closed_rows()))
+
+
+def _unique_min_dom(t: Graph) -> list[int] | None:
+    """The minimum dominating set of a tree when it is unique, else None."""
+    doms = _min_dom(t)
+    return list(bits(doms[0])) if len(doms) == 1 else None
 
 
 def _in_r_uvr(g: Graph) -> bool:
@@ -321,18 +329,19 @@ def _thm_r(g: Graph):
 
 
 def _thm_un(t: Graph):
-    summary = _min_dom(t)
-    for dom in summary.all_min_sets:
-        structural = solvers._tree_unique_gamma_structural(t, dom)
-        if structural != summary.unique:
-            return False, {"set": sorted(dom), "structural": structural,
-                           "unique": summary.unique}
+    closed, doms = t.closed_rows(), _min_dom(t)
+    unique = len(doms) == 1
+    wrong = [dom for dom in doms if solvers._tree_unique_gamma_mask(closed, dom) != unique]
+    if wrong:
+        # the witness is the first wrong set in lexicographic order
+        dom = min(wrong, key=lambda m: list(bits(m)))
+        return False, {"set": list(bits(dom)), "structural": not unique, "unique": unique}
     # non-minimum dominating sets are never the unique minimum one.  In a
     # tree two neighbours of a member are never adjacent, so the structural
     # test asks for two private neighbours outside the set, and the search
     # finds, in lexicographic order, every set it could accept
-    for mask in kernels.private_dominating_masks(t.closed_rows(), summary.gamma + 1, 2):
-        if solvers._tree_unique_gamma_structural(t, frozenset(bits(mask))):
+    for mask in kernels.private_dominating_masks(closed, doms[0].bit_count() + 1, 2):
+        if solvers._tree_unique_gamma_mask(closed, mask):
             return False, {"oversized_structural_set": list(bits(mask))}
     return True, None
 
@@ -469,7 +478,7 @@ def _obs_sabc(lt: labelled.LabelledTree):
 
 
 def _cor_unilab(lt: labelled.LabelledTree):
-    rec = labelled._recognize(lt.tree, _min_dom(lt.tree))
+    rec = labelled._recognize(lt.tree, _unique_min_dom(lt.tree))
     if rec is None:
         return False, {"recognized": False}
     ok = rec.statuses == lt.statuses
@@ -503,7 +512,7 @@ def _check_thm_main(limits: Limits) -> Iterator[Case]:
                 "constructed": tree_canonical_key(t) in keys,
                 "vertex_removal_stable": _in_r_uvr(t),
                 "unique_function_shape": _criterion_unique_function(t),
-                "unique_gamma_set_shape": labelled._recognize(t, _min_dom(t)) is not None,
+                "unique_gamma_set_shape": labelled._recognize(t, _unique_min_dom(t)) is not None,
                 "differential_stable": all(_deletions(t, classify.DIFFERENTIAL).unchanged()),
             }
             ok = len(set(flags.values())) == 1
@@ -683,22 +692,24 @@ def _guarded(cases: Iterator[Case]) -> Iterator[Case]:
         yield {"choosing_instances": True}, reraise
 
 
-def run_suite(
-    suite: str = "all",
-    limits: Limits = Limits(),
-    fault: str | None = None,
-) -> SuiteReport:
-    """Run one check or every check over its instance stream.
+def run_checks(
+    suite: str,
+    limits: Limits,
+    fault: str | None,
+    sink: Callable[[CheckResult], None],
+) -> None:
+    """Run one check or every check over its instance stream, handing each
+    result to ``sink`` as soon as it is made.
 
     Deterministic given (suite, limits, fault); the optional fault mode
     corrupts the Roman domination solver so the harness can prove it is
-    not vacuous.
+    not vacuous.  The fault and the solver caches are cleared however the
+    run ends, also when ``sink`` raises.
     """
     limits.validate()
     if suite != "all" and suite not in REGISTRY:
         raise ValueError(f"unknown check id: {suite}")
     ids = list(CHECK_IDS) if suite == "all" else [suite]
-    report = SuiteReport()
     clear_caches()
     solvers.set_fault_injection(fault)
     try:
@@ -709,11 +720,19 @@ def run_suite(
                     ok, witness = thunk()
                 except Exception as exc:  # recorded, never swallowed
                     ok, witness = False, f"{type(exc).__name__}: {exc}"
-                report.results.append(
-                    CheckResult(check_id, instance, ok, witness,
-                                time.perf_counter() - started)
-                )
+                sink(CheckResult(check_id, instance, ok, witness,
+                                 time.perf_counter() - started))
     finally:
         solvers.set_fault_injection(None)
         clear_caches()
+
+
+def run_suite(
+    suite: str = "all",
+    limits: Limits = Limits(),
+    fault: str | None = None,
+) -> SuiteReport:
+    """`run_checks` with every result kept in one report."""
+    report = SuiteReport()
+    run_checks(suite, limits, fault, report.results.append)
     return report

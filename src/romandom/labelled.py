@@ -230,7 +230,8 @@ def recognize_script_t(t: Graph, limit: int = solvers.DEFAULT_EXACT_LIMIT) -> Op
         raise GraphError("expected a tree")
     if t.order < 3:
         raise GraphError("expected order at least 3")
-    return _recognize(t, solvers.minimum_dominating_sets(t, limit))
+    summary = solvers.minimum_dominating_sets(t, limit)
+    return _recognize(t, summary.all_min_sets[0] if summary.unique else None)
 
 
 def _b_set_shape(t: Graph, dom) -> bool:
@@ -243,12 +244,10 @@ def _b_set_shape(t: Graph, dom) -> bool:
     )
 
 
-def _recognize(t: Graph, summary: solvers.DominationSummary) -> Optional[LabelledTree]:
-    """`recognize_script_t` on a checked tree, given its minimum dominating sets."""
-    if not summary.unique:
-        return None
-    dom = summary.all_min_sets[0]
-    if not _b_set_shape(t, dom):
+def _recognize(t: Graph, dom) -> Optional[LabelledTree]:
+    """`recognize_script_t` on a checked tree, given its minimum dominating
+    set when that is unique and None when it is not."""
+    if dom is None or not _b_set_shape(t, dom):
         return None
     dmask = mask_of(dom)
     statuses = []

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import GraphError, LimitExceededError
-from .graphs import (Graph, bits, connected_components, is_connected, is_forest, is_tree, mask_of,
-                     private_neighbors)
+from .graphs import Graph, bits, connected_components, is_connected, is_forest, is_tree, mask_of
 
 DEFAULT_EXACT_LIMIT = 20
 SWEEP_EXACT_LIMIT = 16
@@ -196,19 +195,33 @@ def tree_unique_gamma_structural(t: Graph, dom) -> bool:
     dset = frozenset(dom)
     if not is_dominating(t, dset):
         raise GraphError("set is not dominating")
-    return _tree_unique_gamma_structural(t, dset)
+    return _tree_unique_gamma_mask(t.closed_rows(), mask_of(dset))
 
 
-def _tree_unique_gamma_structural(t: Graph, dset: frozenset[int]) -> bool:
-    """`tree_unique_gamma_structural` without validation: ``t`` must be a
-    tree of order at least 3 and ``dset`` a dominating set of it."""
-    for v in dset:
-        pn = sorted(private_neighbors(t, v, dset))
-        ok = any(
-            not t.has_edge(a, b)
-            for i, a in enumerate(pn)
-            for b in pn[i + 1:]
-        )
-        if not ok:
+def _tree_unique_gamma_mask(closed, dom: int) -> bool:
+    """`tree_unique_gamma_structural` without validation, on the closed
+    rows of a tree of order at least 3 and the mask of a dominating set.
+
+    One walk over the members ORs their rows into ``once`` and each row's
+    overlap with ``once`` into ``twice``; the private neighbors of x are
+    then ``closed[x] & ~twice``.  Two of them, a and b, are nonadjacent
+    exactly when b lies outside the closed row of a."""
+    rows = []
+    once = twice = 0
+    while dom:
+        x = dom & -dom
+        row = closed[x.bit_length() - 1]
+        twice |= once & row
+        once |= row
+        rows.append(row)
+        dom ^= x
+    for row in rows:
+        pn = rest = row & ~twice
+        while rest:
+            a = rest & -rest
+            if pn & ~closed[a.bit_length() - 1]:
+                break
+            rest ^= a
+        else:
             return False
     return True

@@ -1,12 +1,13 @@
 """The verify sweep solves each quantity once per graph, and its caches do
 not carry answers from a faulty run into a clean one."""
 
+import sys
 from collections import Counter
 
 import pytest
 
-from romandom import checks, kernels, streams
-from romandom.checks import Limits, run_suite
+from romandom import checks, cli, graphs, kernels, solvers, streams
+from romandom.checks import Limits, run_checks, run_suite
 from romandom.solvers import FAULT_GAMMA_R_PLUS_ONE
 
 SMALL = Limits(9, 5, 6)
@@ -72,3 +73,45 @@ def test_each_corpus_order_is_generated_once(monkeypatch):
     checks._connected_at.cache_clear()
     assert run_suite("all", SMALL).all_passed
     assert made and set(made.values()) == {1}
+
+
+def _run_state():
+    """Whether the fault is on (gamma_R of P3 reads 3, not 2), and the
+    number of entries in each solver cache."""
+    faulty = solvers.roman_domination_number(graphs.path_graph(3)) == 3
+    return faulty, [cache.cache_info().currsize for cache in checks._SOLVER_CACHES]
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_a_sink_that_stops_after_one_record_leaves_no_fault_or_cached_answer():
+    states = []
+
+    def stop(result):
+        states.append(_run_state())
+        raise _Stop
+
+    with pytest.raises(_Stop):
+        run_checks("THM-MAIN", SMALL, FAULT_GAMMA_R_PLUS_ONE, stop)
+    faulty, sizes = states[0]
+    assert len(states) == 1 and faulty and all(sizes[1:])
+    assert _run_state() == (False, [0, 0, 0, 0])
+
+
+def test_a_verify_whose_output_breaks_leaves_no_fault_or_cached_answer(monkeypatch):
+    states = []
+
+    class BrokenPipe:
+        def write(self, text):
+            states.append(_run_state())
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["verify", "--suite", "all", "--trees-max-n", "9", "--graphs-max-n", "5",
+                  "--unicyclic-n", "6", "--inject-fault", FAULT_GAMMA_R_PLUS_ONE])
+    faulty, sizes = states[0]
+    assert len(states) == 1 and faulty and sizes[0]
+    assert _run_state() == (False, [0, 0, 0, 0])

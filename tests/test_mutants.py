@@ -1,11 +1,13 @@
 """Checks that a broken helper must fail: each mutant is monkeypatched into
 the package and the check it names must report failures."""
 
+import functools
 import inspect
+import operator
 
 from romandom import checks, kernels, solvers
 from romandom.checks import Limits, run_suite
-from romandom.graphs import private_neighbors
+from romandom.graphs import bits
 
 SMALL = Limits(9, 5, 6)
 
@@ -20,10 +22,12 @@ def test_cor_edel_fails_when_edge_deletion_does_nothing(monkeypatch):
 
 
 def test_thm_un_fails_when_one_private_neighbour_is_enough(monkeypatch):
-    def one_private(t, dset):
-        return all(private_neighbors(t, x, dset) - dset for x in dset)
+    def one_private(closed, dom):
+        def reach(members):
+            return functools.reduce(operator.or_, (closed[v] for v in bits(members)), 0)
+        return all(closed[x] & ~reach(dom & ~(1 << x)) & ~dom for x in bits(dom))
 
-    monkeypatch.setattr(solvers, "_tree_unique_gamma_structural", one_private)
+    monkeypatch.setattr(solvers, "_tree_unique_gamma_mask", one_private)
     assert run_suite("THM-UN", SMALL).failures
 
 

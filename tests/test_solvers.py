@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,9 +11,9 @@ from oracles import (
     brute_gamma_r_functions,
     brute_min_dominating_sets,
 )
-from romandom import graphs, solvers
+from romandom import graphs, solvers, streams
 from romandom.errors import GraphError, LimitExceededError
-from romandom.graphs import build_graph, disjoint_union
+from romandom.graphs import bits, build_graph, disjoint_union
 from romandom.solvers import (
     RomanFunction,
     differential_sets,
@@ -203,6 +204,41 @@ def test_tree_unique_gamma_structural():
         tree_unique_gamma_structural(graphs.cycle_graph(4), [0, 2])
     with pytest.raises(GraphError):
         tree_unique_gamma_structural(graphs.path_graph(6), [0])
+
+
+def _structural_by_definition(t, dset):
+    # every member has two private neighbours that are not adjacent
+    return all(
+        any(not t.has_edge(a, b)
+            for a, b in itertools.combinations(sorted(graphs.private_neighbors(t, x, dset)), 2))
+        for x in dset
+    )
+
+
+def _double_star(a, b):
+    # two adjacent centres 0 and 1 with a and b leaves
+    return build_graph(2 + a + b, [(0, 1)] + [(0, 2 + i) for i in range(a)]
+                       + [(1, 2 + a + i) for i in range(b)])
+
+
+def test_structural_mask_test_matches_its_definition():
+    families = ([graphs.star(n) for n in range(3, 13)]
+                + [graphs.path_graph(n) for n in range(3, 13)]
+                + [_double_star(a, b) for a in range(1, 6) for b in range(a, 6)])
+    every_set = [t for n in range(3, 9) for t in streams.free_trees(n)]
+    every_set += [t for t in families if t.order <= 8]
+    minimum = [t for n in range(3, 13) for t in streams.free_trees(n)] + families
+    seen = set()
+    for trees, sets in ((every_set, lambda t: range(1 << t.order)),
+                        (minimum, lambda t: map(graphs.mask_of, minimum_dominating_sets(t).all_min_sets))):
+        for t in trees:
+            closed = t.closed_rows()
+            for dom in sets(t):
+                if t.closed_reach(dom) == t.full_mask:
+                    got = solvers._tree_unique_gamma_mask(closed, dom)
+                    assert got == _structural_by_definition(t, set(bits(dom))), (t.edges(), dom)
+                    seen.add(got)
+    assert seen == {True, False}
 
 
 def test_limits_are_hard():

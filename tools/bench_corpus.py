@@ -1,7 +1,8 @@
 """Time corpus generation, the structural decomposition of a 3,603-vertex
-path and the default verify sweep with each of its checks in process, and
-the Tier-1 test suite in a child process, count the lines of each package
-module, and write ``BENCH_<short-rev>.json`` at the repository root.
+path and the default verify sweep with each of its checks in process, the
+max-limit verify sweep and the Tier-1 test suite in child processes, count
+the lines of each package module, and write ``BENCH_<short-rev>.json`` at
+the repository root.
 
     python3 tools/bench_corpus.py
 
@@ -21,6 +22,14 @@ from the first step of its cases to the last, with the solver caches the
 checks before it filled.  A wrapped entry point also counts the calls other
 kernels make to it: ``canonical_signature`` calls ``canonical_permutation``.
 
+The max-limit sweep (``romandom verify --suite all`` with ``MAX_LIMITS``)
+is run ``RUNS`` times through the command line, each in a child process.
+Each child's wall time, its own peak RSS (from ``os.wait4``; the
+``RUSAGE_CHILDREN`` figure is the largest of every child, those of the
+Tier-1 runs included) and the sha256 of its record lines (the summary
+line excluded) and of its whole output are kept.  One more run in process
+times each check around its whole loop.
+
 The Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
 with ``PYTHONPATH=src``) is run ``RUNS`` times last, each in a fresh
 interpreter, and its wall time is kept as the median.
@@ -29,6 +38,7 @@ interpreter, and its wall time is kept as the median.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -46,6 +56,7 @@ from romandom import checks, graphs, kernels, labelled, streams  # noqa: E402
 from romandom.checks import run_suite  # noqa: E402
 
 RUNS = 3
+MAX_LIMITS = checks.Limits(trees_max_n=16, graphs_max_n=7, unicyclic_n=10)
 UNICYCLIC_ORDERS = range(3, 11)
 KERNEL_ENTRY_POINTS = (
     "min_weight_cover", "min_cover_masks", "min_dominating_size", "min_dominating_masks",
@@ -127,25 +138,62 @@ def whole_loop(cases, samples):
     return timed
 
 
-def verify_default() -> dict:
-    calls = kernel_calls(run_suite, KERNEL_ENTRY_POINTS)
+def timed_suites(limits, runs):
+    """The seconds of ``runs`` suites at ``limits``, the instances of the
+    last, and the seconds of each check in each run."""
     samples, per_check = [], {cid: [] for cid in checks.CHECK_IDS}
     real = dict(checks.REGISTRY)
     for cid, check in real.items():
         checks.REGISTRY[cid] = dataclasses.replace(check, cases=whole_loop(check.cases, per_check[cid]))
     try:
-        for _ in range(RUNS):
+        for _ in range(runs):
             start = time.perf_counter()
-            report = run_suite()
+            report = run_suite("all", limits)
             samples.append(round(time.perf_counter() - start, 4))
             if not report.all_passed:
-                raise RuntimeError("verify at default limits failed")
+                raise RuntimeError(f"verify at {limits} failed")
     finally:
         checks.REGISTRY.update(real)
+    return samples, report.total, per_check
+
+
+def verify_default() -> dict:
+    calls = kernel_calls(run_suite, KERNEL_ENTRY_POINTS)
+    samples, total, per_check = timed_suites(checks.Limits(), RUNS)
     return {"median_s": statistics.median(samples), "samples_s": samples,
-            "instances": report.total, "kernel_calls": calls,
+            "instances": total, "kernel_calls": calls,
             "check_s": {cid: {"median_s": statistics.median(s), "samples_s": s}
                         for cid, s in per_check.items()}}
+
+
+def verify_max() -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = ["verify", "--suite", "all", "--trees-max-n", str(MAX_LIMITS.trees_max_n),
+            "--graphs-max-n", str(MAX_LIMITS.graphs_max_n),
+            "--unicyclic-n", str(MAX_LIMITS.unicyclic_n)]
+    walls, rss, digests = [], [], set()
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        with subprocess.Popen([sys.executable, "-m", "romandom.cli", *argv], cwd=ROOT,
+                              env=env, stdout=subprocess.PIPE) as proc:
+            out = proc.stdout.read()
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+        walls.append(round(time.perf_counter() - start, 2))
+        rss.append(round(usage.ru_maxrss / 1024, 1))
+        if proc.returncode != 0:
+            raise RuntimeError("verify at the largest limits failed")
+        records = [line for line in out.splitlines(keepends=True) if b'"summary": true' not in line]
+        digests.add((len(records), hashlib.sha256(b"".join(records)).hexdigest(),
+                     hashlib.sha256(out).hexdigest()))
+    if len(digests) != 1:
+        raise RuntimeError("verify at the largest limits wrote different output")
+    (records, records_sha, stdout_sha), = digests
+    _, _, per_check = timed_suites(MAX_LIMITS, 1)
+    return {"argv": argv, "median_s": statistics.median(walls), "samples_s": walls,
+            "peak_rss_mb": {"median": statistics.median(rss), "samples": rss},
+            "records": records, "records_sha256": records_sha, "stdout_sha256": stdout_sha,
+            "check_s": {cid: s[0] for cid, s in per_check.items()}}
 
 
 def tier1() -> dict:
@@ -184,6 +232,7 @@ def main() -> int:
             "calls": unicyclic_canonical_searches(),
         },
         "verify_default": verify_default(),
+        "verify_max": verify_max(),
         "tier1": tier1(),
     }
     path = ROOT / f"BENCH_{rev}.json"
