@@ -505,11 +505,14 @@ def _criterion_unique_function(t: Graph) -> bool:
 
 
 def _check_thm_main(limits: Limits) -> Iterator[Case]:
-    keys = {tree_canonical_key(lt.tree) for lt in _script_members(limits.trees_max_n)}
+    members = [lt.tree for lt in _script_members(limits.trees_max_n)]
+    keys = {tree_canonical_key(m) for m in members}
+    # a tree whose degree sequence no member has is not one: no key needed
+    degrees = {m.degree_sequence() for m in members}
     for t in _trees_range(3, limits.trees_max_n):
         def case(t=t):
             flags = {
-                "constructed": tree_canonical_key(t) in keys,
+                "constructed": t.degree_sequence() in degrees and tree_canonical_key(t) in keys,
                 "vertex_removal_stable": _in_r_uvr(t),
                 "unique_function_shape": _criterion_unique_function(t),
                 "unique_gamma_set_shape": labelled._recognize(t, _unique_min_dom(t)) is not None,

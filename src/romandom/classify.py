@@ -10,7 +10,7 @@ definitions; their agreement is a theorem the harness re-checks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from . import kernels, solvers
 from .errors import BondageCapError, GraphError, InvariantViolationError
@@ -56,13 +56,19 @@ class Deletions:
     on a forest each value, G's own included, is one kernel call on G's
     rows (with row v taken out for G - v), solved when a reader first
     reaches it, and no graph is built.  On a graph with a cycle, one
-    deletion-kernel scan per component gives G's value and every G - v
-    value at once (`_profile`); a value it leaves unproven, which then lies
-    more than one from the class test's value, is solved on G - v when a
-    reader first reaches it.
+    level scan per component gives G's value and every G - v value at once
+    (`_profile`); a value it leaves unproven, which then lies more than one
+    from the class test's value, is solved on G - v when a reader first
+    reaches it.
+
+    Built with ``ties``, it also counts the optimal sets (the optimal V2
+    sets for gamma_R): ``tie_counts`` holds one count per component, read
+    from the same scans, or one for a whole forest, from its tie programme.
+    The optimal function of G is unique exactly when every count is 1.
+    Without ``ties``, ``tie_counts`` is None.
     """
 
-    def __init__(self, g: Graph, quantity: str, limit: int = DEFAULT_LIMIT):
+    def __init__(self, g: Graph, quantity: str, limit: int = DEFAULT_LIMIT, ties: bool = False):
         self._g, self._limit = g, limit
         self._roman = quantity == ROMAN
         self._solve = {ROMAN: solvers.roman_domination_number,
@@ -71,37 +77,41 @@ class Deletions:
         solvers._check_limit(g, limit)
         if self._forest:
             self.base, self._values = self._forest_value(None), []
+            masks = kernels.min_cover_masks if self._roman else kernels.max_differential_masks
+            self.tie_counts = [len(masks(self._rows(g)))] if ties else None
         else:
-            self.base, self._values = self._profile()
+            self.base, self._values, self.tie_counts = self._profile(ties)
         self._target = self.base if self._roman else self.base - 1
+
+    def _rows(self, g: Graph) -> list[int]:
+        return g.closed_rows() if self._roman else g.open_rows()
 
     def _forest_value(self, v: int | None) -> int:
         """One kernel call on G's rows, with vertex v deleted unless v is None.
         The rows are read from G each time, so a kept walk holds no copy."""
-        rows = self._g.closed_rows() if self._roman else self._g.open_rows()
+        rows = self._rows(self._g)
         if v is not None:
             rows = rows_without(rows, v)
         if self._roman:
             return kernels.min_weight_cover(rows) + solvers._GAMMA_R_OFFSET
         return kernels.max_differential(rows)
 
-    def _profile(self) -> tuple[int, list[int | None]]:
-        """G's value and every G - v value, from one deletion-kernel call per
-        component C of G.  G - v is G with C swapped for C - v, so its value
-        is base - value(C) + value(C - v), and the fault offset in base
-        counts once.  None where the kernel left C - v unproven."""
-        if self._roman:
-            kernel, rows = kernels.min_weight_cover_deletions, Graph.closed_rows
-        else:
-            kernel, rows = kernels.max_differential_deletions, Graph.open_rows
-        parts = [(old_ids, *kernel(rows(comp))) for comp, old_ids in connected_components(self._g)]
-        base = sum(own for _, own, _ in parts) + (solvers._GAMMA_R_OFFSET if self._roman else 0)
+    def _profile(self, ties: bool) -> tuple[int, list[int | None], list[int] | None]:
+        """G's value, every G - v value and the tie counts when asked, from
+        one level scan per component C of G.  G - v is G with C swapped for
+        C - v, so its value is base - value(C) + value(C - v), and the fault
+        offset in base counts once.  None where the scan left C - v
+        unproven."""
+        scan = kernels.cover_scan if self._roman else kernels.differential_scan
+        parts = [(old_ids, *scan(self._rows(comp), ties, True))
+                 for comp, old_ids in connected_components(self._g)]
+        base = sum(own for _, own, _, _ in parts) + (solvers._GAMMA_R_OFFSET if self._roman else 0)
         values = [None] * self._g.order
-        for old_ids, own, afters in parts:
+        for old_ids, own, _, afters in parts:
             for v, after in zip(old_ids, afters):
                 if after is not None:
                     values[v] = base - own + after
-        return base, values
+        return base, values, [len(masks) for _, _, masks, _ in parts] if ties else None
 
     def __iter__(self):
         # by index, so interleaved iterators over one object stay correct
@@ -242,7 +252,7 @@ class ClassReport:
     per_vertex_effect: dict[int, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(vars(self))
         out["per_vertex_effect"] = {str(v): e for v, e in sorted(self.per_vertex_effect.items())}
         return out
 
@@ -250,7 +260,7 @@ class ClassReport:
 def build_class_report(
     g: Graph, limit: int = DEFAULT_LIMIT, with_bondage: bool = True
 ) -> ClassReport:
-    roman = Deletions(g, ROMAN, limit)
+    roman = Deletions(g, ROMAN, limit, ties=True)
     effects = {v: _effect(roman.base, after, v) for v, after in enumerate(roman)}
     bondage = None
     if with_bondage and g.order > 0 and g.max_degree() >= 2:
@@ -266,7 +276,7 @@ def build_class_report(
         in_r_cvr=not any(roman.unchanged()),
         in_d_uvr=all(diff.unchanged()),
         in_d_cvr=not any(diff.unchanged()),
-        is_urd=is_urd(g, limit),
+        is_urd=all(count == 1 for count in roman.tie_counts),
         bondage=bondage,
         per_vertex_effect=effects,
     )

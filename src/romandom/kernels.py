@@ -16,33 +16,34 @@ that cost 1 and no label 1, and keep each state's ties: the masks of the
 subtree that attain its value (`_cover_ties`).  `max_differential` keeps
 three open-row states of its own (in S; outside S with a child in S;
 outside S with no child in S), so the two programmes still check each
-other.  On other rows these kernels scan or branch;
-`max_differential_masks` and `efficient_dominating_masks` always scan
-subsets by size (`_levels`), never all ``2^n`` of them, and
-`min_dominating_size` always branches.
+other.  On other rows the Roman kernels read `cover_scan` and the
+differential ones `differential_scan`, each one level scan over subsets by
+size (`_levels`), never all ``2^n`` of them; `max_differential_masks` and
+`efficient_dominating_masks` always scan, and `min_dominating_size` always
+branches.
 
-Two deletion kernels answer a graph and each of its one-vertex deletions
-from one level scan: `min_weight_cover_deletions` and
-`max_differential_deletions` return G's value and, for every v, the value
-of the rows with row v taken out.  A k-subset S that avoids v is a k-subset
-of G - v, whose weight there is one less exactly when v lies outside
-N[S], and whose differential is one less exactly when v lies in B(S).
-They keep separate loops and bounds, so they too check each other.
+Each of the two scans gives G's value and, on request, its ties (the masks
+that attain it) and the value of every one-vertex deletion G - v (the rows
+with row v taken out), which the deletion kernels
+`min_weight_cover_deletions` and `max_differential_deletions` return.  The
+two keep separate loops and bounds, so they check each other.
 
 Each search stops at the first point that cannot change its answer.  A
 k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
-``|B(S)| - k <= n - 2k``, so:
+``|B(S)| - k <= n - 2k``, so after level k no later level offers G a weight
+below ``2k + 2`` or a differential above ``n - 2k - 2``.  A scan stops once
+the rule of everything asked of it holds:
 
-- `min_weight_cover` stops once ``2k >= best`` and `min_cover_masks` once
-  ``2k > best`` (ties still count);
-- `max_differential` stops once ``n - 2k <= best`` and
-  `max_differential_masks` once ``n - 2k < best``;
-- the deletion kernels stop once G's value is proven and so is every
-  G - v value within one of the class test's value: ``best - 1`` to
-  ``best + 1`` for the Roman weight, ``best - 2`` to ``best`` for the
-  differential (a G - v has order n - 1).  A G - v value is proven once no
-  later level can beat it, at most ``2k + 2`` or at least ``n - 2k - 3``;
-  one not proven by then comes back None;
+- G's value: the Roman scan stops once ``2k + 2 >= best``, the differential
+  scan once ``n - 2k - 2 <= best``.  A caller that asks for the value alone
+  keeps this rule and builds no offers;
+- its ties: once ``2k + 2 > best``, or ``n - 2k - 2 < best``, since a
+  subset of a later level may still tie;
+- the G - v values: once every one within one of the class test's value is
+  proven, ``best - 1`` to ``best + 1`` for the Roman weight and ``best - 2``
+  to ``best`` for the differential (a G - v has order n - 1).  A G - v
+  value is proven once no later level can beat it, at most ``2k + 2`` or at
+  least ``n - 2k - 3``; one not proven by then comes back None;
 - `efficient_dominating_masks` grows a set only by a closed neighborhood
   disjoint from the ones it has;
 - the dominating-set searches branch on the lowest uncovered vertex, trying
@@ -221,14 +222,7 @@ def min_weight_cover(closed):
             one[p] += done
             wait[p] += o if o < z else z
         return best
-    n = len(closed)
-    full = (1 << n) - 1
-    best = n  # S = empty: every vertex pays 1
-    for k, level in enumerate(_levels(closed)):
-        best = min(best, 2 * k + min([(full & ~u).bit_count() for _, u in level]))
-        if 2 * k + 2 >= best:
-            break
-    return best
+    return cover_scan(closed)[0]
 
 
 def _members(mask):
@@ -239,42 +233,56 @@ def _members(mask):
         mask ^= low
 
 
-def min_weight_cover_deletions(closed):
-    """``(min_weight_cover(closed), afters)`` from one level scan, where
-    ``afters[v]`` is ``min_weight_cover(rows_without(closed, v))``, or None
-    where the scan stopped before proving it.
+def cover_scan(closed, ties=False, deletions=False):
+    """``(value, masks, afters)`` from one level scan: `min_weight_cover`'s
+    value, its ties when ``ties``, and when ``deletions`` the value of every
+    G - v, None where the scan stopped before proving it.  What was not
+    asked for is None.
 
-    A k-subset S that avoids v is a k-subset of G - v, and its weight 2k + c
-    there (c = |V - N[S]|) is one less exactly when v lies outside N[S].
-    So the subsets of cost c offer 2k + c - 1 to the vertices outside their
-    N[S] (the better offer) and 2k + c to those in N[S] - S (the plain
-    offer), and a vertex keeps the least offer it gets.  A cost group is
+    A k-subset S that avoids v weighs 2k + c in G - v (c = |V - N[S]|), one
+    less when v lies outside N[S].  So the subsets of cost c offer
+    2k + c - 1 to the vertices outside N[S] (the better offer) and 2k + c to
+    those in N[S] - S, and a vertex keeps its least offer.  A cost group is
     read only while its better offer can lower some value and is at most
     ``best + 2``, so a value above ``best + 2`` may be too high and comes
-    back None.  Later levels offer at least 2k + 2, so a value is proven
-    once it is at most that.
+    back None.
     """
     n = len(closed)
     full = (1 << n) - 1
-    best, after = n, [n - 1] * n  # S = empty: every vertex pays 1
+    best, masks, after = n, [], [n - 1] * n  # S = empty: every vertex pays 1
     for k, level in enumerate(_levels(closed)):
         costs = [(full & ~u).bit_count() for _, u in level]
         low = min(costs)
-        best = min(best, 2 * k + low)
-        top = min(max(after, default=0), best + 3) - 2 * k + 1  # read the costs below top
-        outside, plain = [0] * (top - low), [0] * (top - low)
-        for c, m, u in [(c, m, u) for (m, u), c in zip(level, costs) if c < top]:
-            outside[c - low] |= ~u
-            plain[c - low] |= u & ~m
-        for c, o, p in zip(range(2 * k + low, 2 * k + top), outside, plain):
-            o &= full
-            for v in _members(o | p):
-                after[v] = min(after[v], c - (o >> v & 1))
+        if 2 * k + low < best:
+            best, masks = 2 * k + low, []
+        if ties and 2 * k + low == best:
+            masks += [m for (m, _), c in zip(level, costs) if c == low]
+        if deletions:
+            top = min(max(after, default=0), best + 3) - 2 * k + 1  # read the costs below top
+            outside, plain = [0] * (top - low), [0] * (top - low)
+            for c, m, u in [(c, m, u) for (m, u), c in zip(level, costs) if c < top]:
+                outside[c - low] |= ~u
+                plain[c - low] |= u & ~m
+            for c, o, p in zip(range(2 * k + low, 2 * k + top), outside, plain):
+                o &= full
+                for v in _members(o | p):
+                    after[v] = min(after[v], c - (o >> v & 1))
         floor = 2 * k + 2  # the least a later level offers G or any G - v
-        if floor >= best and floor >= min(max(after, default=0), best + 2):
+        stop = floor > best if ties else floor >= best
+        if deletions:
+            stop = stop and floor >= min(max(after, default=0), best + 2)
+        if stop:
             break
     proven = min(floor, best + 2)
-    return best, [a if a <= proven else None for a in after]
+    return (best, sorted(masks) if ties else None,
+            [a if a <= proven else None for a in after] if deletions else None)
+
+
+def min_weight_cover_deletions(closed):
+    """``(min_weight_cover(closed), afters)``: `cover_scan` asked for every
+    G - v value."""
+    best, _, afters = cover_scan(closed, deletions=True)
+    return best, afters
 
 
 def min_cover_masks(closed):
@@ -282,19 +290,7 @@ def min_cover_masks(closed):
     forest = _forest(closed, True)
     if forest is not None:
         return _cover_ties(forest, _ROMAN_LEAF)
-    n = len(closed)
-    full = (1 << n) - 1
-    best, out = n, []
-    for k, level in enumerate(_levels(closed)):
-        weights = [2 * k + (full & ~u).bit_count() for _, u in level]
-        low = min(weights)
-        if low < best:
-            best, out = low, []
-        if low == best:
-            out += [m for (m, _), w in zip(level, weights) if w == best]
-        if 2 * k + 2 > best:
-            break
-    return sorted(out)
+    return cover_scan(closed, ties=True)[1]
 
 
 def _holders(rows):
@@ -413,67 +409,63 @@ def max_differential(open_rows):
             inside[p] += done if done > f + 1 else f + 1
             free[p] += most
         return best
-    n = len(open_rows)
-    best = 0  # S = empty
-    for k, level in enumerate(_levels(open_rows)):
-        best = max(best, max([(u & ~m).bit_count() for m, u in level]) - k)
-        if n - 2 * k - 2 <= best:
-            break
-    return best
+    return differential_scan(open_rows)[0]
 
 
-def max_differential_deletions(open_rows):
-    """``(max_differential(open_rows), afters)`` from one level scan, where
-    ``afters[v]`` is ``max_differential(rows_without(open_rows, v))``, or
-    None where the scan stopped before proving it.
+def differential_scan(open_rows, ties=False, deletions=False):
+    """``(value, masks, afters)`` from one level scan: `max_differential`'s
+    value, its ties when ``ties``, and when ``deletions`` the value of every
+    G - v, None where the scan stopped before proving it.  What was not
+    asked for is None.
 
-    Its own loop and bounds, not `min_weight_cover_deletions` mirrored, so
-    the two still check each other.  A k-subset S that avoids v keeps its
-    differential d = |B(S)| - k in G - v unless v is in B(S), where it
-    loses one.  So the subsets of gain |B(S)| = g offer g - k to the
-    vertices outside S and B(S) and g - k - 1 to those in B(S), and a
-    vertex keeps the highest offer it gets.  A gain group is read only
-    while its offer g - k can raise some value and is at least
-    ``best - 3``, so a value below ``best - 3`` may be too low and comes
-    back None.  A later level offers any G - v at most n - 2k - 3, so a
-    value is proven once it is at least that.
+    Its own loop and bounds, not `cover_scan` mirrored.  A k-subset S that
+    avoids v keeps its differential |B(S)| - k in G - v unless v is in
+    B(S), where it loses one.  So the subsets of gain |B(S)| = g offer g - k
+    to the vertices outside S and B(S) and g - k - 1 to those in B(S), and a
+    vertex keeps its highest offer.  A gain group is read only while its
+    offer g - k can raise some value and is at least ``best - 3``, so a
+    value below ``best - 3`` may be too low and comes back None.
     """
     n = len(open_rows)
     full = (1 << n) - 1
-    best, after = 0, [0] * n  # S = empty
+    best, masks, after = 0, [], [0] * n  # S = empty
     for k, level in enumerate(_levels(open_rows)):
         gains = [(u & ~m).bit_count() for m, u in level]
         high = max(gains)
-        best = max(best, high - k)
-        floor = max(min(after, default=0), best - 4) + k  # read the gains above floor
-        hits, missed = [0] * (high - floor), [0] * (high - floor)  # index: high - g
-        for g, m, u in [(g, m, u) for (m, u), g in zip(level, gains) if g > floor]:
-            hits[high - g] |= u & ~m
-            missed[high - g] |= ~(u | m)
-        for d, h, o in zip(range(high - k, floor - k, -1), hits, missed):
-            o &= full
-            for v in _members(o | h):
-                after[v] = max(after[v], d - 1 + (o >> v & 1))
-        ceiling = n - 2 * k - 3  # the most a later level offers any G - v
-        if ceiling <= best - 1 and ceiling <= max(min(after, default=0), best - 3):
+        if high - k > best:
+            best, masks = high - k, []
+        if ties and high - k == best:
+            masks += [m for (m, _), g in zip(level, gains) if g == high]
+        if deletions:
+            floor = max(min(after, default=0), best - 4) + k  # read the gains above floor
+            hits, missed = [0] * (high - floor), [0] * (high - floor)  # index: high - g
+            for g, m, u in [(g, m, u) for (m, u), g in zip(level, gains) if g > floor]:
+                hits[high - g] |= u & ~m
+                missed[high - g] |= ~(u | m)
+            for d, h, o in zip(range(high - k, floor - k, -1), hits, missed):
+                o &= full
+                for v in _members(o | h):
+                    after[v] = max(after[v], d - 1 + (o >> v & 1))
+        ceiling = n - 2 * k - 3  # the most a later level offers any G - v, and G one more
+        stop = ceiling < best - 1 if ties else ceiling <= best - 1
+        if deletions:
+            stop = stop and ceiling <= max(min(after, default=0), best - 3)
+        if stop:
             break
     proven = max(ceiling, best - 3)
-    return best, [a if a >= proven else None for a in after]
+    return (best, sorted(masks) if ties else None,
+            [a if a >= proven else None for a in after] if deletions else None)
+
+
+def max_differential_deletions(open_rows):
+    """``(max_differential(open_rows), afters)``: `differential_scan` asked
+    for every G - v value."""
+    best, _, afters = differential_scan(open_rows, deletions=True)
+    return best, afters
 
 
 def max_differential_masks(open_rows):
-    n = len(open_rows)
-    best, out = 0, []
-    for k, level in enumerate(_levels(open_rows)):
-        gains = [(u & ~m).bit_count() - k for m, u in level]
-        top = max(gains)
-        if top > best:
-            best, out = top, []
-        if top == best:
-            out += [m for (m, _), d in zip(level, gains) if d == best]
-        if n - 2 * k - 2 < best:
-            break
-    return sorted(out)
+    return differential_scan(open_rows, ties=True)[1]
 
 
 def efficient_dominating_masks(closed):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from oracles import brute_differential, brute_gamma_r
+from oracles import brute_differential, brute_gamma_r, full_scan_kernel
 from romandom import kernels, solvers
 from romandom.classify import DIFFERENTIAL, ROMAN, Deletions
 from romandom.errors import LimitExceededError
@@ -89,3 +89,20 @@ def test_friendship_hub_is_left_open_and_the_walk_solves_it(t):
 def test_profile_kernels_keep_the_scan_limit(kernel):
     with pytest.raises(LimitExceededError):
         kernel([0] * 25)
+
+
+def test_scans_answer_every_request_alike():
+    # the value, ties and G - v values do not depend on what else is asked
+    # for, though the stop rule does
+    for g in corpus():
+        for scan, rows, name, single in (
+                (kernels.cover_scan, g.closed_rows(), "min_cover_masks", kernels.min_weight_cover),
+                (kernels.differential_scan, g.open_rows(), "max_differential_masks",
+                 kernels.max_differential)):
+            value, ties, afters = scan(rows, True, True)
+            assert ties == full_scan_kernel(name, rows), (g.edges(), name)
+            assert scan(rows) == (value, None, None) and scan(rows, True)[1] == ties
+            assert all(a == single(rows_without(rows, v))
+                       for v, a in enumerate(afters) if a is not None), (g.edges(), name)
+            for after, plain in zip(afters, scan(rows, deletions=True)[2]):
+                assert after == plain or plain is None, (g.edges(), name)

@@ -8,6 +8,7 @@ import operator
 from romandom import checks, kernels, solvers
 from romandom.checks import Limits, run_suite
 from romandom.graphs import bits
+from test_ties import CASES, tie_count_mismatches
 
 SMALL = Limits(9, 5, 6)
 
@@ -77,18 +78,25 @@ def _mutated(monkeypatch, name, old, new):
 def test_lem_minus_fails_when_the_plain_offer_beats_the_better_one(monkeypatch):
     # a vertex outside N[S] for one subset of a group and in N[S] - S for
     # another takes the plain offer: some gamma_R(G - v) reads one too high
-    _mutated(monkeypatch, "min_weight_cover_deletions", "c - (o >> v & 1)",
+    _mutated(monkeypatch, "cover_scan", "c - (o >> v & 1)",
              "c - (o >> v & 1 and not p >> v & 1)")
     assert run_suite("LEM-MINUS", SMALL).failures
 
 
 def test_eq1_fails_when_the_roman_deletion_scan_stops_a_level_early(monkeypatch):
     # gamma_R of a graph with a cycle is taken before it is proven
-    _mutated(monkeypatch, "min_weight_cover_deletions", "floor = 2 * k + 2", "floor = 2 * k + 4")
+    _mutated(monkeypatch, "cover_scan", "floor = 2 * k + 2", "floor = 2 * k + 4")
     assert run_suite("EQ1", SMALL).failures
 
 
 def test_thm_diff_i_fails_when_the_differential_deletion_scan_stops_a_level_early(monkeypatch):
-    _mutated(monkeypatch, "max_differential_deletions", "ceiling = n - 2 * k - 3",
+    _mutated(monkeypatch, "differential_scan", "ceiling = n - 2 * k - 3",
              "ceiling = n - 2 * k - 5")
     assert run_suite("THM-DIFF-I", SMALL).failures
+
+
+def test_tie_counts_fail_when_the_ties_scan_stops_at_the_value_rule(monkeypatch):
+    # the scan then misses the ties one level past the one that proves
+    # gamma_R, such as five of the ten optimal functions of C5
+    _mutated(monkeypatch, "cover_scan", "floor > best if ties else floor >= best", "floor >= best")
+    assert tie_count_mismatches(CASES)

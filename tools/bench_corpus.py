@@ -1,8 +1,8 @@
 """Time corpus generation, the structural decomposition of a 3,603-vertex
 path and the default verify sweep with each of its checks in process, the
-max-limit verify sweep and the Tier-1 test suite in child processes, count
-the lines of each package module, and write ``BENCH_<short-rev>.json`` at
-the repository root.
+max-limit verify sweep, the perfbench workloads and the Tier-1 test suite
+in child processes, count the lines of each package module, and write
+``BENCH_<short-rev>.json`` at the repository root.
 
     python3 tools/bench_corpus.py
 
@@ -29,6 +29,12 @@ Each child's wall time, its own peak RSS (from ``os.wait4``; the
 Tier-1 runs included) and the sha256 of its record lines (the summary
 line excluded) and of its whole output are kept.  One more run in process
 times each check around its whole loop.
+
+Each perfbench workload is run ``RUNS`` times, round-robin, through
+``perfbench/run.py --workload W --seed 1 --seconds 12 --trace 0``.  The
+last line of each run holds the medians of its own repetitions, and the
+median over the runs of its ``wall_s``, ``cpu_s`` and ``peak_rss_mb`` is
+kept with the samples.
 
 The Tier-1 suite (``python -m pytest -q --continue-on-collection-errors``
 with ``PYTHONPATH=src``) is run ``RUNS`` times last, each in a fresh
@@ -61,9 +67,12 @@ UNICYCLIC_ORDERS = range(3, 11)
 KERNEL_ENTRY_POINTS = (
     "min_weight_cover", "min_cover_masks", "min_dominating_size", "min_dominating_masks",
     "max_differential", "max_differential_masks", "efficient_dominating_masks",
-    "min_weight_cover_deletions", "max_differential_deletions", "private_dominating_masks",
+    "min_weight_cover_deletions", "max_differential_deletions", "cover_scan", "differential_scan",
+    "private_dominating_masks",
     "canonical_permutation", "canonical_signature", "connected_canonical_signatures",
 )
+PERFBENCH_WORKLOADS = ("verify-default", "classify-large", "corpus")
+PERFBENCH_METRICS = ("wall_s", "cpu_s", "peak_rss_mb")
 
 TIMINGS = {
     "free_trees_14": lambda: list(streams.free_trees(14)),
@@ -102,9 +111,9 @@ def kernel_calls(work, names) -> dict:
     calls = dict.fromkeys(reals, 0)
 
     def counting(name):
-        def call(*args):
+        def call(*args, **kwargs):
             calls[name] += 1
-            return reals[name](*args)
+            return reals[name](*args, **kwargs)
         return call
 
     for name in reals:
@@ -158,7 +167,10 @@ def timed_suites(limits, runs):
 
 
 def verify_default() -> dict:
-    calls = kernel_calls(run_suite, KERNEL_ENTRY_POINTS)
+    reports = []
+    calls = kernel_calls(lambda: reports.append(run_suite()), KERNEL_ENTRY_POINTS)
+    if not reports[0].all_passed:  # a wrapper that breaks a call shows here, not in the counts
+        raise RuntimeError("the counted verify at default limits failed")
     samples, total, per_check = timed_suites(checks.Limits(), RUNS)
     return {"median_s": statistics.median(samples), "samples_s": samples,
             "instances": total, "kernel_calls": calls,
@@ -194,6 +206,25 @@ def verify_max() -> dict:
             "peak_rss_mb": {"median": statistics.median(rss), "samples": rss},
             "records": records, "records_sha256": records_sha, "stdout_sha256": stdout_sha,
             "check_s": {cid: s[0] for cid, s in per_check.items()}}
+
+
+def perfbench() -> dict:
+    command = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--seed", "1",
+               "--seconds", "12", "--trace", "0"]
+    samples = {name: {m: [] for m in PERFBENCH_METRICS} for name in PERFBENCH_WORKLOADS}
+    for _ in range(RUNS):
+        for name, runs in samples.items():
+            done = subprocess.run([*command, "--workload", name], cwd=ROOT, capture_output=True,
+                                  text=True)
+            lines = done.stdout.splitlines()
+            last = json.loads(lines[-1]) if lines else {}
+            if done.returncode != 0 or not last.get("correct"):
+                raise RuntimeError(f"perfbench {name} failed:\n" + done.stdout[-2000:])
+            for metric, values in runs.items():
+                values.append(last["metrics"][metric]["value"])
+    return {name: {metric: {"median": statistics.median(values), "samples": values}
+                   for metric, values in runs.items()}
+            for name, runs in samples.items()}
 
 
 def tier1() -> dict:
@@ -233,6 +264,7 @@ def main() -> int:
         },
         "verify_default": verify_default(),
         "verify_max": verify_max(),
+        "perfbench": perfbench(),
         "tier1": tier1(),
     }
     path = ROOT / f"BENCH_{rev}.json"
