@@ -44,6 +44,10 @@ the rule of everything asked of it holds:
   to ``best`` for the differential (a G - v has order n - 1).  A G - v
   value is proven once no later level can beat it, at most ``2k + 2`` or at
   least ``n - 2k - 3``; one not proven by then comes back None;
+- when that rule would hold after the next level even with the current
+  values, the next level is the last, and `_levels` builds only those of
+  its subsets whose union is wide enough to change a value or a tie (the
+  boundary B(S) lies within the union);
 - `efficient_dominating_masks` grows a set only by a closed neighborhood
   disjoint from the ones it has;
 - the dominating-set searches branch on the lowest uncovered vertex, trying
@@ -77,14 +81,16 @@ def _check_scan_order(n):
         raise LimitExceededError(f"subset scan limited to {_MAX_SCAN_ORDER} vertices, got {n}")
 
 
-def _levels(rows, disjoint=False):
+def _levels(rows, disjoint=False, last=None):
     """Yield, for k = 0, 1, ..., the ``(mask, union)`` pairs of all k-subsets
     S, where union is the OR of ``rows[v]`` over v in S.
 
     Level k is built from level k - 1, only when the caller asks for it, by
     adding each vertex above a mask's highest bit, so every subset appears
     once.  With ``disjoint``, a vertex is added only when its row misses the
-    union.
+    union.  A caller that puts a count in ``last`` (a one-item list) before
+    asking for the next level gets it as the last one, holding only the
+    subsets whose union has more bits than that count, perhaps none.
     """
     n = len(rows)
     _check_scan_order(n)
@@ -93,6 +99,10 @@ def _levels(rows, disjoint=False):
     level = [(0, 0)]
     while level:
         yield level
+        if last and last[0] is not None:
+            yield [(m | b, u | r) for m, u in level for b, r in tails[m.bit_length()]
+                   if (u | r).bit_count() > last[0]]
+            return
         if disjoint:
             level = [(m | b, u | r) for m, u in level for b, r in tails[m.bit_length()]
                      if not u & r]
@@ -249,10 +259,15 @@ def cover_scan(closed, ties=False, deletions=False):
     """
     n = len(closed)
     full = (1 << n) - 1
-    best, masks, after = n, [], [n - 1] * n  # S = empty: every vertex pays 1
-    for k, level in enumerate(_levels(closed)):
+    best, masks, after, last = n, [], [n - 1] * n, [None]  # S = empty: every vertex pays 1
+
+    def done(floor):  # the stop rule of everything asked for
+        stop = floor > best if ties else floor >= best
+        return stop and (not deletions or floor >= min(max(after, default=0), best + 2))
+
+    for k, level in enumerate(_levels(closed, last=last)):
         costs = [(full & ~u).bit_count() for _, u in level]
-        low = min(costs)
+        low = min(costs, default=n + 1)
         if 2 * k + low < best:
             best, masks = 2 * k + low, []
         if ties and 2 * k + low == best:
@@ -268,11 +283,11 @@ def cover_scan(closed, ties=False, deletions=False):
                 for v in _members(o | p):
                     after[v] = min(after[v], c - (o >> v & 1))
         floor = 2 * k + 2  # the least a later level offers G or any G - v
-        stop = floor > best if ties else floor >= best
-        if deletions:
-            stop = stop and floor >= min(max(after, default=0), best + 2)
-        if stop:
+        if done(floor):
             break
+        if done(floor + 2):  # the next level is the last: keep what can lower a value or tie
+            top = min(max(after, default=0), best + 3) - 2 * k - 1 if deletions else 0
+            last[0] = n - max(best - 2 * k - 2 + ties, top)
     proven = min(floor, best + 2)
     return (best, sorted(masks) if ties else None,
             [a if a <= proven else None for a in after] if deletions else None)
@@ -428,10 +443,15 @@ def differential_scan(open_rows, ties=False, deletions=False):
     """
     n = len(open_rows)
     full = (1 << n) - 1
-    best, masks, after = 0, [], [0] * n  # S = empty
-    for k, level in enumerate(_levels(open_rows)):
+    best, masks, after, last = 0, [], [0] * n, [None]  # S = empty
+
+    def done(ceiling):  # the stop rule of everything asked for
+        stop = ceiling < best - 1 if ties else ceiling <= best - 1
+        return stop and (not deletions or ceiling <= max(min(after, default=0), best - 3))
+
+    for k, level in enumerate(_levels(open_rows, last=last)):
         gains = [(u & ~m).bit_count() for m, u in level]
-        high = max(gains)
+        high = max(gains, default=-1)
         if high - k > best:
             best, masks = high - k, []
         if ties and high - k == best:
@@ -447,11 +467,11 @@ def differential_scan(open_rows, ties=False, deletions=False):
                 for v in _members(o | h):
                     after[v] = max(after[v], d - 1 + (o >> v & 1))
         ceiling = n - 2 * k - 3  # the most a later level offers any G - v, and G one more
-        stop = ceiling < best - 1 if ties else ceiling <= best - 1
-        if deletions:
-            stop = stop and ceiling <= max(min(after, default=0), best - 3)
-        if stop:
+        if done(ceiling):
             break
+        if done(ceiling - 2):  # the next level is the last: keep what can raise a value or tie
+            least = max(min(after, default=0), best - 4) + k + 1 if deletions else n
+            last[0] = min(best + k + 1 - ties, least)  # |B(S)| is at most the union
     proven = max(ceiling, best - 3)
     return (best, sorted(masks) if ties else None,
             [a if a >= proven else None for a in after] if deletions else None)
