@@ -17,6 +17,7 @@ from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from . import classify, kernels, labelled, solvers, streams
+from .errors import LimitExceededError
 from .graphs import (
     Graph,
     bits,
@@ -45,11 +46,11 @@ class Limits:
 
     def validate(self) -> None:
         if not 3 <= self.trees_max_n <= streams.FREE_TREE_LIMIT:
-            raise ValueError(f"trees_max_n must be in 3..{streams.FREE_TREE_LIMIT}")
+            raise LimitExceededError(f"trees_max_n must be in 3..{streams.FREE_TREE_LIMIT}")
         if not 1 <= self.graphs_max_n <= streams.CONNECTED_GRAPH_LIMIT:
-            raise ValueError(f"graphs_max_n must be in 1..{streams.CONNECTED_GRAPH_LIMIT}")
+            raise LimitExceededError(f"graphs_max_n must be in 1..{streams.CONNECTED_GRAPH_LIMIT}")
         if not 3 <= self.unicyclic_n <= streams.UNICYCLIC_LIMIT:
-            raise ValueError(f"unicyclic_n must be in 3..{streams.UNICYCLIC_LIMIT}")
+            raise LimitExceededError(f"unicyclic_n must be in 3..{streams.UNICYCLIC_LIMIT}")
 
 
 @dataclass

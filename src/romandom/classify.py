@@ -52,14 +52,13 @@ class Deletions:
     shifted comparison is the class test (the unshifted one would contradict
     the identity tying the differential to gamma_R and the order).
 
-    A forest minus a vertex is a forest, which the kernels solve whole, so
-    on a forest each value, G's own included, is one kernel call on G's
-    rows (with row v taken out for G - v), solved when a reader first
-    reaches it, and no graph is built.  On a graph with a cycle, one
-    level scan per component gives G's value and every G - v value at once
-    (`_profile`); a value it leaves unproven, which then lies more than one
-    from the class test's value, is solved on G - v when a reader first
-    reaches it.
+    No graph is built for any G - v.  On a forest, each value, G's own
+    included, is one kernel call on G's rows (with row v shifted out for
+    G - v), solved when a reader first reaches it.  On a graph with a cycle,
+    one level scan per component gives G's value and every G - v value at
+    once (`_profile`); a value it leaves unproven, which then lies more than
+    one from the class test's value, is solved the forest's way when a
+    reader first reaches it.
 
     Built with ``ties``, it also counts the optimal sets (the optimal V2
     sets for gamma_R): ``tie_counts`` holds one count per component, read
@@ -69,14 +68,11 @@ class Deletions:
     """
 
     def __init__(self, g: Graph, quantity: str, limit: int = DEFAULT_LIMIT, ties: bool = False):
-        self._g, self._limit = g, limit
-        self._roman = quantity == ROMAN
-        self._solve = {ROMAN: solvers.roman_domination_number,
-                       DIFFERENTIAL: solvers.differential_value}[quantity]
-        self._forest = g.size < g.order and is_forest(g)  # the edge count screens first
         solvers._check_limit(g, limit)
-        if self._forest:
-            self.base, self._values = self._forest_value(None), []
+        self._g = g
+        self._roman = {ROMAN: True, DIFFERENTIAL: False}[quantity]
+        if is_forest(g):
+            self.base, self._values = self._value(None), []
             masks = kernels.min_cover_masks if self._roman else kernels.max_differential_masks
             self.tie_counts = [len(masks(self._rows(g)))] if ties else None
         else:
@@ -86,7 +82,7 @@ class Deletions:
     def _rows(self, g: Graph) -> list[int]:
         return g.closed_rows() if self._roman else g.open_rows()
 
-    def _forest_value(self, v: int | None) -> int:
+    def _value(self, v: int | None) -> int:
         """One kernel call on G's rows, with vertex v deleted unless v is None.
         The rows are read from G each time, so a kept walk holds no copy."""
         rows = self._rows(self._g)
@@ -117,9 +113,9 @@ class Deletions:
         # by index, so interleaved iterators over one object stay correct
         for v in range(self._g.order):
             if v == len(self._values):  # a forest's values come one at a time
-                self._values.append(self._forest_value(v))
-            elif self._values[v] is None:
-                self._values[v] = self._solve(delete_vertex(self._g, v)[0], self._limit)
+                self._values.append(None)
+            if self._values[v] is None:
+                self._values[v] = self._value(v)
             yield self._values[v]
 
     def unchanged(self):

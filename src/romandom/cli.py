@@ -30,9 +30,13 @@ def _input_graphs(path: str):
     """(line number, graph) pairs from a path or '-' for stdin."""
     if path == "-":
         yield from streams.iter_graph6_lines(sys.stdin)
-    else:
-        with open(path, "r", encoding="ascii") as handle:
-            yield from streams.iter_graph6_lines(handle)
+        return
+    try:
+        handle = open(path, "r", encoding="ascii")
+    except OSError as exc:
+        raise RomandomError(f"cannot read {path}: {exc.strerror}") from exc
+    with handle:
+        yield from streams.iter_graph6_lines(handle)
 
 
 def _cmd_compute(args) -> int:

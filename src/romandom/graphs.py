@@ -11,6 +11,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .errors import Graph6Error, GraphError, LimitExceededError
+from .kernels import bits
 
 CANONICAL_ORDER_LIMIT = 10
 
@@ -127,14 +128,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(order={self.order}, edges={self.edges()})"
-
-
-def bits(mask: int) -> Iterator[int]:
-    """Vertex ids in a bitmask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -363,6 +356,10 @@ def is_tree(g: Graph) -> bool:
 
 
 def is_forest(g: Graph) -> bool:
+    """No cycle.  The edge count screens first: a graph with at least as
+    many edges as vertices has a cycle, unless it is empty."""
+    if g.size >= g.order > 0:
+        return False
     return g.size == g.order - sum(1 for _ in _component_masks(g))
 
 

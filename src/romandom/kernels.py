@@ -22,12 +22,6 @@ size (`_levels`), never all ``2^n`` of them; `max_differential_masks` and
 `efficient_dominating_masks` always scan, and `min_dominating_size` always
 branches.
 
-Each of the two scans gives G's value and, on request, its ties (the masks
-that attain it) and the value of every one-vertex deletion G - v (the rows
-with row v taken out), which the deletion kernels
-`min_weight_cover_deletions` and `max_differential_deletions` return.  The
-two keep separate loops and bounds, so they check each other.
-
 Each search stops at the first point that cannot change its answer.  A
 k-subset S has Roman weight ``2k + |V - N[S]| >= 2k`` and differential
 ``|B(S)| - k <= n - 2k``, so after level k no later level offers G a weight
@@ -108,6 +102,14 @@ def _levels(rows, disjoint=False, last=None):
                      if not u & r]
         else:
             level = [(m | b, u | r) for m, u in level for b, r in tails[m.bit_length()]]
+
+
+def bits(mask):
+    """The vertices of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # A weight no assignment reaches; its negative is a differential none reaches.
@@ -235,14 +237,6 @@ def min_weight_cover(closed):
     return cover_scan(closed)[0]
 
 
-def _members(mask):
-    """The vertices of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def cover_scan(closed, ties=False, deletions=False):
     """``(value, masks, afters)`` from one level scan: `min_weight_cover`'s
     value, its ties when ``ties``, and when ``deletions`` the value of every
@@ -280,7 +274,7 @@ def cover_scan(closed, ties=False, deletions=False):
                 plain[c - low] |= u & ~m
             for c, o, p in zip(range(2 * k + low, 2 * k + top), outside, plain):
                 o &= full
-                for v in _members(o | p):
+                for v in bits(o | p):
                     after[v] = min(after[v], c - (o >> v & 1))
         floor = 2 * k + 2  # the least a later level offers G or any G - v
         if done(floor):
@@ -291,13 +285,6 @@ def cover_scan(closed, ties=False, deletions=False):
     proven = min(floor, best + 2)
     return (best, sorted(masks) if ties else None,
             [a if a <= proven else None for a in after] if deletions else None)
-
-
-def min_weight_cover_deletions(closed):
-    """``(min_weight_cover(closed), afters)``: `cover_scan` asked for every
-    G - v value."""
-    best, _, afters = cover_scan(closed, deletions=True)
-    return best, afters
 
 
 def min_cover_masks(closed):
@@ -464,7 +451,7 @@ def differential_scan(open_rows, ties=False, deletions=False):
                 missed[high - g] |= ~(u | m)
             for d, h, o in zip(range(high - k, floor - k, -1), hits, missed):
                 o &= full
-                for v in _members(o | h):
+                for v in bits(o | h):
                     after[v] = max(after[v], d - 1 + (o >> v & 1))
         ceiling = n - 2 * k - 3  # the most a later level offers any G - v, and G one more
         if done(ceiling):
@@ -477,13 +464,6 @@ def differential_scan(open_rows, ties=False, deletions=False):
             [a if a >= proven else None for a in after] if deletions else None)
 
 
-def max_differential_deletions(open_rows):
-    """``(max_differential(open_rows), afters)``: `differential_scan` asked
-    for every G - v value."""
-    best, _, afters = differential_scan(open_rows, deletions=True)
-    return best, afters
-
-
 def max_differential_masks(open_rows):
     return differential_scan(open_rows, ties=True)[1]
 
@@ -492,10 +472,6 @@ def efficient_dominating_masks(closed):
     """All S whose closed neighborhoods partition the vertex set."""
     full = (1 << len(closed)) - 1
     return sorted(m for level in _levels(closed, disjoint=True) for m, u in level if u == full)
-
-
-def _position_degrees(rows):
-    return sorted((r.bit_count() for r in rows), reverse=True)
 
 
 def canonical_permutation(rows):
@@ -517,7 +493,7 @@ def canonical_permutation(rows):
     if n <= 1:
         return list(range(n))
     deg = [r.bit_count() for r in rows]
-    posdeg = _position_degrees(rows)
+    posdeg = sorted(deg, reverse=True)
     twins = [0] * n  # twins[v]: the mask of v's twins below v
     first = {}
     for v, row in enumerate(rows):

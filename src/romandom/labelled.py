@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import solvers
-from .errors import GraphError, OperationError
+from . import kernels, solvers
+from .errors import GraphError, LimitExceededError, OperationError
 from .graphs import (
     Graph,
     _parents_preorder,
@@ -34,6 +34,8 @@ from .graphs import (
     tree_canonical_key,
     write_graph6,
 )
+
+SCRIPT_T_LIMIT = kernels._MAX_SCAN_ORDER
 
 STATUS_A = "A"
 STATUS_B = "B"
@@ -191,7 +193,12 @@ def generate_script_t(max_order: int) -> list[LabelledTree]:
     """Closure of the base under O1-O4 up to max_order, one representative
     per isomorphism class (the labelling is determined by the tree, so
     deduping on the tree alone is sound).  Sorted by order, then canonical
-    tree encoding."""
+    tree encoding.  Limited to order `SCRIPT_T_LIMIT`, the kernels' order
+    limit: no solver analyses a larger member, and the family roughly
+    triples every two orders."""
+    if max_order > SCRIPT_T_LIMIT:
+        raise LimitExceededError(
+            f"script T generation limited to order {SCRIPT_T_LIMIT}, got {max_order}")
     if max_order < 3:
         return []
     base = base_k12()

@@ -82,11 +82,9 @@ def is_dominating(g: Graph, vertices) -> bool:
 def _component_value(g: Graph, limit: int, kernel, rows) -> int:
     """Sum of ``kernel(rows(component))`` over the components.  ``rows`` is
     ``Graph.closed_rows`` or ``Graph.open_rows``.  A forest goes to the
-    kernel whole, in one call on its own rows.  The edge count screens
-    first: a connected graph with a cycle has at least as many edges as
-    vertices, so it never takes the forest test."""
+    kernel whole, in one call on its own rows."""
     _check_limit(g, limit)
-    if g.size < g.order and is_forest(g):
+    if is_forest(g):
         return kernel(rows(g))
     return sum(kernel(rows(comp)) for comp, _ in connected_components(g))
 

@@ -6,6 +6,7 @@ from oracles import brute_gamma_r_functions
 
 from romandom import checks
 from romandom.checks import CHECK_IDS, REGISTRY, Limits, run_suite
+from romandom.errors import LimitExceededError
 from romandom.graphs import bits, build_graph, edgeless_graph, is_connected, write_graph6
 
 EXPECTED_IDS = {
@@ -36,6 +37,16 @@ def test_unknown_suite_rejected():
         run_suite("NOPE")
     with pytest.raises(ValueError):
         run_suite("all", Limits(graphs_max_n=9))
+
+
+@pytest.mark.parametrize("limits, named", [
+    (Limits(trees_max_n=17), "trees_max_n must be in 3..16"),
+    (Limits(graphs_max_n=0), "graphs_max_n must be in 1..7"),
+    (Limits(unicyclic_n=11), "unicyclic_n must be in 3..10"),
+])
+def test_out_of_range_limits_raise_limit_exceeded(limits, named):
+    with pytest.raises(LimitExceededError, match=named):
+        limits.validate()
 
 
 def test_small_full_suite_passes():

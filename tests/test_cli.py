@@ -20,6 +20,16 @@ def test_compute_gamma_r(capsys, monkeypatch, tmp_path):
     assert [r["gamma_r"] for r in records] == [2, 2]
 
 
+@pytest.mark.parametrize("argv", [["compute", "gamma"], ["classify"]])
+def test_unreadable_input_is_a_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "no-such-file.g6"
+    code, out, err = run_cli(capsys, *argv, str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "no-such-file.g6" in err and err.count("\n") == 1
+    code, _, err = run_cli(capsys, *argv, str(tmp_path))  # a directory
+    assert code == 2 and err.startswith("error:")
+
+
 def test_compute_bondage_rejects_low_degree(capsys, tmp_path):
     path = tmp_path / "in.g6"
     path.write_text("A_\n", encoding="ascii")  # single edge
@@ -190,6 +200,7 @@ LIMIT_PLUS_ONE = {
     "verify-unicyclic-n-11": (["verify", "--unicyclic-n", "11"], None, "unicyclic_n"),
     "generate-free-trees-17": (["generate", "free-trees", "--n", "17"], None, "n <= 16"),
     "generate-unicyclic-11": (["generate", "unicyclic", "--n", "11"], None, "n <= 10"),
+    "generate-t-trees-25": (["generate", "t-trees", "--max-n", "25"], None, "order 24, got 25"),
     "explore-unicyclic-11": (["explore", "unicyclic", "--n", "11"], None, "n <= 10"),
     "explore-sizes-8": (["explore", "sizes", "--n", "8"], None, "order 7"),
     "compute-path-21": (["compute", "gamma-r"], 21, "order 20, got 21"),

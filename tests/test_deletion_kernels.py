@@ -1,15 +1,15 @@
-"""The vertex-deletion profile kernels, which solve G and every G - v from
-one level scan, against one kernel call per G - v and the 3^n oracle."""
+"""The level scans asked for every G - v value, which solve G and every
+G - v from one scan, against one kernel call per G - v and the 3^n oracle."""
 
 import random
 
 import pytest
 
 from oracles import brute_differential, brute_gamma_r, full_scan_kernel
-from romandom import kernels, solvers
+from romandom import classify, kernels, solvers
 from romandom.classify import DIFFERENTIAL, ROMAN, Deletions
 from romandom.errors import LimitExceededError
-from romandom.graphs import Graph, build_graph, delete_vertex, disjoint_union, rows_without
+from romandom.graphs import Graph, build_graph, delete_vertex, disjoint_union, path_graph, rows_without
 
 
 def random_graph(rng, n, p):
@@ -43,13 +43,13 @@ def corpus():
 def test_profile_kernels_match_one_call_per_deleted_row():
     for g in corpus():
         closed, open_rows = g.closed_rows(), g.open_rows()
-        value, afters = kernels.min_weight_cover_deletions(closed)
+        value, _, afters = kernels.cover_scan(closed, deletions=True)
         assert value == kernels.min_weight_cover(closed)
         for v, after in enumerate(afters):
             want = kernels.min_weight_cover(rows_without(closed, v))
             # left open only when more than one above gamma_R(G)
             assert after == want if after is not None else want >= value + 2, (g.edges(), v)
-        value, afters = kernels.max_differential_deletions(open_rows)
+        value, _, afters = kernels.differential_scan(open_rows, deletions=True)
         assert value == kernels.max_differential(open_rows)
         for v, after in enumerate(afters):
             want = kernels.max_differential(rows_without(open_rows, v))
@@ -63,10 +63,10 @@ def test_profile_kernels_match_the_oracles():
         for _ in range(3 if n < 8 else 1):
             g = random_graph(rng, n, rng.choice((0.25, 0.45, 0.7)))
             minus = [delete_vertex(g, v)[0] for v in range(n)]
-            value, afters = kernels.min_weight_cover_deletions(g.closed_rows())
+            value, _, afters = kernels.cover_scan(g.closed_rows(), deletions=True)
             assert value == brute_gamma_r(g)
             assert all(a == brute_gamma_r(h) for a, h in zip(afters, minus) if a is not None)
-            value, afters = kernels.max_differential_deletions(g.open_rows())
+            value, _, afters = kernels.differential_scan(g.open_rows(), deletions=True)
             assert value == brute_differential(g)
             assert all(a == brute_differential(h) for a, h in zip(afters, minus) if a is not None)
 
@@ -75,8 +75,8 @@ def test_profile_kernels_match_the_oracles():
 def test_friendship_hub_is_left_open_and_the_walk_solves_it(t):
     # G - hub is t disjoint edges: gamma_R 2t against gamma_R(G) = 2
     g = friendship(t)
-    assert kernels.min_weight_cover_deletions(g.closed_rows())[1][0] is None
-    assert kernels.max_differential_deletions(g.open_rows())[1][0] is None
+    assert kernels.cover_scan(g.closed_rows(), deletions=True)[2][0] is None
+    assert kernels.differential_scan(g.open_rows(), deletions=True)[2][0] is None
     for quantity, solve in ((ROMAN, solvers.roman_domination_number),
                             (DIFFERENTIAL, solvers.differential_value)):
         want = [solve(delete_vertex(g, v)[0]) for v in range(g.order)]
@@ -84,11 +84,22 @@ def test_friendship_hub_is_left_open_and_the_walk_solves_it(t):
     assert list(Deletions(g, ROMAN))[0] == 2 * t
 
 
-@pytest.mark.parametrize("kernel", [kernels.min_weight_cover_deletions,
-                                    kernels.max_differential_deletions])
+@pytest.mark.parametrize("g", [friendship(3), path_graph(7)], ids=["windmill-3", "path-7"])
+def test_the_walk_builds_no_graph_minus_a_vertex(monkeypatch, g):
+    # the scan leaves the windmill's hub value open: G - hub is three disjoint edges
+    def refuse(*args):
+        raise AssertionError("the walk built G - v")
+
+    monkeypatch.setattr(classify, "delete_vertex", refuse)
+    for quantity, oracle in ((ROMAN, brute_gamma_r), (DIFFERENTIAL, brute_differential)):
+        want = [oracle(delete_vertex(g, v)[0]) for v in range(g.order)]
+        assert list(Deletions(g, quantity)) == want
+
+
+@pytest.mark.parametrize("kernel", [kernels.cover_scan, kernels.differential_scan])
 def test_profile_kernels_keep_the_scan_limit(kernel):
     with pytest.raises(LimitExceededError):
-        kernel([0] * 25)
+        kernel([0] * 25, deletions=True)
 
 
 def test_scans_answer_every_request_alike():

@@ -4,7 +4,7 @@ import pytest
 
 from oracles import brute_gamma_r
 from romandom import graphs, labelled
-from romandom.errors import GraphError, OperationError
+from romandom.errors import GraphError, LimitExceededError, OperationError
 from romandom.graphs import are_isomorphic, tree_canonical_key
 from romandom.labelled import (
     apply_o1,
@@ -79,6 +79,15 @@ def test_o4_attaches_fresh_gadget():
 def test_operations_need_a_vertex_of_the_tree(apply, u):
     with pytest.raises(OperationError):
         apply(base_k12(), u)
+
+
+def test_generate_refuses_orders_above_the_kernel_limit(monkeypatch):
+    def no_work():
+        raise AssertionError("generation started")
+
+    monkeypatch.setattr(labelled, "base_k12", no_work)
+    with pytest.raises(LimitExceededError, match="order 24, got 25"):
+        generate_script_t(labelled.SCRIPT_T_LIMIT + 1)
 
 
 def test_generate_small_orders():

@@ -67,8 +67,7 @@ UNICYCLIC_ORDERS = range(3, 11)
 KERNEL_ENTRY_POINTS = (
     "min_weight_cover", "min_cover_masks", "min_dominating_size", "min_dominating_masks",
     "max_differential", "max_differential_masks", "efficient_dominating_masks",
-    "min_weight_cover_deletions", "max_differential_deletions", "cover_scan", "differential_scan",
-    "private_dominating_masks",
+    "cover_scan", "differential_scan", "private_dominating_masks",
     "canonical_permutation", "canonical_signature", "connected_canonical_signatures",
 )
 PERFBENCH_WORKLOADS = ("verify-default", "classify-large", "corpus")
