@@ -160,6 +160,30 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, adj)
 
 
+def tree_from_level_sequence(seq: bytes) -> Graph:
+    """The tree whose level sequence is ``seq``: vertex i at depth seq[i],
+    joined to the latest earlier vertex one level up.  The sequence starts
+    at 0 and each later entry lies in 1..previous + 1.  Such rows are
+    symmetric, loop-free and in range, so ``Graph``'s test is skipped."""
+    n = len(seq)
+    if not n or seq[0]:
+        raise GraphError("a level sequence starts with a single 0")
+    rows = [0] * n
+    last_at = [0] * n  # last_at[d]: the latest vertex at depth d
+    for v in range(1, n):
+        d = seq[v]
+        if not 0 < d <= seq[v - 1] + 1:
+            raise GraphError(f"level {d} at position {v} does not follow {seq[v - 1]}")
+        p = last_at[d - 1]
+        rows[v] = 1 << p
+        rows[p] |= 1 << v
+        last_at[d] = v
+    g = object.__new__(Graph)
+    g.order, g._adj = n, tuple(rows)
+    g._hash = hash((n, g._adj))
+    return g
+
+
 # -- graph6 ------------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"

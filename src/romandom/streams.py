@@ -12,7 +12,7 @@ from typing import Callable, Iterator
 
 from . import kernels
 from .errors import Graph6Error, GraphError
-from .graphs import Graph, _parents_preorder, _rooted_code, mask_of, parse_graph6, write_graph6
+from .graphs import Graph, _parents_preorder, parse_graph6, tree_from_level_sequence, write_graph6
 
 FREE_TREE_LIMIT = 16
 CONNECTED_GRAPH_LIMIT = 7
@@ -96,18 +96,9 @@ def _rooted_catalogue(top: int) -> list[bytes]:
     return catalogue
 
 
-def _tree_rows(seq: bytes) -> list[int]:
-    """Bitmask rows of the tree with level sequence ``seq``, vertex i at
-    position i."""
-    n = len(seq)
-    rows = [0] * n
-    last_at = [0] * n  # last_at[d]: the latest vertex at depth d
-    for v in range(1, n):
-        p = last_at[seq[v] - 1]
-        rows[v] = 1 << p
-        rows[p] |= 1 << v
-        last_at[seq[v]] = v
-    return rows
+def _tree_rows(seq: bytes) -> tuple[int, ...]:
+    """Bitmask rows of the tree with level sequence ``seq``."""
+    return tree_from_level_sequence(seq).open_rows()
 
 
 def _not_below_twin(seq: bytes) -> bool:
@@ -128,7 +119,7 @@ def _not_below_twin(seq: bytes) -> bool:
 def _iter_free_trees(n: int) -> Iterator[Graph]:
     for seq in _sequences(_rooted_catalogue(n // 2), n):
         if n & 1 or _not_below_twin(seq):
-            yield Graph(n, _tree_rows(seq))
+            yield tree_from_level_sequence(seq)
 
 
 def free_trees(n: int) -> InstanceStream:
@@ -177,21 +168,29 @@ def _chord_keys(rows: tuple[int, ...]) -> Iterator[tuple[list[int], bytes]]:
     the least rotation or reflection of that sequence, joined into one
     bytes string; each level sequence holds a single 0, at its start, so
     the join loses nothing.
+
+    One bottom-up pass per j over the tree rooted there gives each vertex's
+    child sequences: the tree hung at i is i's subtree, and the one hung at
+    any other cycle vertex is its subtree less the child toward i.
     """
-    n = len(rows)
-    for j in range(1, n):
-        toward_j = _parents_preorder(rows, j)[0]
+    for j in range(1, len(rows)):
+        parent, order = _parents_preorder(rows, j)
+        kids: list[list[bytes]] = [[] for _ in rows]  # child sequences, one level down
+        down = {}  # down[v]: v's subtree sequence, one level down
+        for v in reversed(order):
+            kids[v].sort(reverse=True)
+            down[v] = (b"\x00" + b"".join(kids[v])).translate(_DEEPER)
+            if v != j:
+                kids[parent[v]].append(down[v])
         for i in range(j):
             if rows[i] >> j & 1:
                 continue
-            cycle = [i]
-            while cycle[-1] != j:
-                cycle.append(toward_j[cycle[-1]])
-            on_cycle = mask_of(cycle)
-            hung = list(rows)
-            for c in cycle:
-                hung[c] &= ~on_cycle
-            codes = [bytes(_rooted_code(hung, c)) for c in cycle]
+            codes, v = [b"\x00" + b"".join(kids[i])], i
+            while v != j:
+                rest = kids[parent[v]].copy()
+                rest.remove(down[v])
+                codes.append(b"\x00" + b"".join(rest))
+                v = parent[v]
             with_chord = list(rows)
             with_chord[i] |= 1 << j
             with_chord[j] |= 1 << i

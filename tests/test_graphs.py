@@ -5,7 +5,7 @@ import tracemalloc
 import networkx as nx
 import pytest
 
-from romandom import graphs, kernels
+from romandom import graphs, kernels, streams
 from romandom.errors import Graph6Error, GraphError, LimitExceededError
 from romandom.graphs import (
     Graph,
@@ -26,6 +26,7 @@ from romandom.graphs import (
     permute,
     private_neighbors,
     tree_canonical_key,
+    tree_from_level_sequence,
     write_graph6,
 )
 from romandom.solvers import is_dominating
@@ -427,3 +428,22 @@ def test_tree_canonical_key():
 def test_graph_rejects_invalid_rows(order, rows, message):
     with pytest.raises(GraphError, match=message):
         Graph(order, rows)
+
+
+def test_tree_from_level_sequence_matches_its_parent_edges():
+    # Every sequence composed to order 12, its kept and dropped bicentroidal
+    # ones included; each vertex's parent is found by a backward search.
+    for n in range(1, 13):
+        for seq in streams._sequences(streams._rooted_catalogue(n // 2), n):
+            parents = [(next(u for u in range(v - 1, -1, -1) if seq[u] == seq[v] - 1), v)
+                       for v in range(1, n)]
+            tree, built = tree_from_level_sequence(seq), build_graph(n, parents)
+            assert tree == built and hash(tree) == hash(built), seq
+
+
+@pytest.mark.parametrize("seq", [b"", b"\x01", b"\x00\x00", b"\x00\x02", b"\x00\x01\x03"],
+                         ids=["empty", "root-at-1", "second-root", "skipped-level",
+                              "later-skip"])
+def test_tree_from_level_sequence_rejects_invalid_sequences(seq):
+    with pytest.raises(GraphError):
+        tree_from_level_sequence(seq)

@@ -212,3 +212,36 @@ def test_chord_keys_classify_like_canonical_search():
                 assert key_to_sig.setdefault(key, sig) == sig, (n, rows)
                 assert sig_to_key.setdefault(sig, key) == key, (n, rows)
         assert len(key_to_sig) == UNICYCLIC_COUNTS[n], n
+
+
+def chord_keys_by_definition(rows):
+    """The (rows, key) pairs of ``streams._chord_keys`` from the first
+    definition: clear the cycle's edges in a copy of the rows, code the tree
+    hung at each cycle vertex with ``graphs._rooted_code``, and take the
+    least rotation or reflection of the joined codes."""
+    n = len(rows)
+    for j in range(1, n):
+        toward_j = graphs._parents_preorder(rows, j)[0]
+        for i in range(j):
+            if rows[i] >> j & 1:
+                continue
+            cycle = [i]
+            while cycle[-1] != j:
+                cycle.append(toward_j[cycle[-1]])
+            on_cycle = graphs.mask_of(cycle)
+            hung = [row & ~on_cycle if v in cycle else row for v, row in enumerate(rows)]
+            codes = [bytes(graphs._rooted_code(hung, c)) for c in cycle]
+            with_chord = list(rows)
+            with_chord[i] |= 1 << j
+            with_chord[j] |= 1 << i
+            turns = [b"".join(seq[k:] + seq[:k]) for seq in (codes, codes[::-1])
+                     for k in range(len(seq))]
+            yield with_chord, min(turns)
+
+
+def test_chord_keys_match_their_definition():
+    # Every free tree plus chord of order 3 to 10, in the same order.
+    for n in range(3, 11):
+        for tree in free_trees(n):
+            rows = tree.open_rows()
+            assert list(streams._chord_keys(rows)) == list(chord_keys_by_definition(rows)), rows
