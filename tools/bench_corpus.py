@@ -98,7 +98,7 @@ def short_rev() -> str:
 
 
 @functools.cache
-def representatives(n: int) -> list[list[int]]:
+def representatives(n: int) -> list[tuple[int, ...]]:
     """The rows of the unicyclic stream's graphs of order n: the first tree
     plus chord of each class, on which the stream runs its canonical
     searches."""
